@@ -29,7 +29,7 @@ import numpy as np
 from . import runner
 from .bitio import BitMessage, deframe, index_to_bits, next_index
 from .errors import DesyncError, StegoError
-from .lm import ConditionalDistribution
+from .lm import ConditionalDistribution, sample_token
 from .runner import EmbedTrace, GenerationConfig
 
 
@@ -49,16 +49,6 @@ class Group:
     token_ids: np.ndarray
     masses: np.ndarray
     total_mass: int
-
-
-@dataclass
-class Grouping:
-    groups: List[Group]
-    level_denominator: int
-
-    @property
-    def u(self) -> int:
-        return len(self.groups)
 
 
 class _AliveIndex:
@@ -96,7 +86,7 @@ class _AliveIndex:
         return root
 
 
-def equal_group(token_ids: Sequence[int], masses: Sequence[int], u: int) -> Grouping:
+def equal_group(token_ids: Sequence[int], masses: Sequence[int], u: int) -> List[Group]:
     """Partition a mass-desc sorted distribution into ``u`` near-equal groups.
 
     Nearest-mass ties prefer the lower mass, then the lower token id, so
@@ -109,16 +99,14 @@ def equal_group(token_ids: Sequence[int], masses: Sequence[int], u: int) -> Grou
     n = int(ids.size)
     total = int(m.sum())
     if u == 1:
-        return Grouping([Group(ids.copy(), m.copy(), total)], total)
+        return [Group(ids.copy(), m.copy(), total)]
     if u > n:
         raise StegoError(f"cannot form {u} groups from {n} tokens")
     if u == n:
         # Every group is a singleton, seeded in mass-desc order with
         # id-asc ties; the top-up loop never fires (the max is >= the mean).
         order = np.lexsort((ids, -m))
-        return Grouping(
-            [Group(ids[i : i + 1], m[i : i + 1], int(m[i])) for i in order], total
-        )
+        return [Group(ids[i : i + 1], m[i : i + 1], int(m[i])) for i in order]
 
     asc = np.lexsort((ids, m))  # mass asc, then id asc
     masses_asc: List[int] = m[asc].tolist()
@@ -189,7 +177,7 @@ def equal_group(token_ids: Sequence[int], masses: Sequence[int], u: int) -> Grou
         g_ids = np.asarray([ids_asc[idx] for idx in members], dtype=np.int64)
         g_masses = np.asarray([masses_asc[idx] for idx in members], dtype=np.int64)
         groups.append(Group(g_ids, g_masses, int(g_masses.sum())))
-    return Grouping(groups, total)
+    return groups
 
 
 class _Node:
@@ -199,13 +187,13 @@ class _Node:
     extraction against the same distribution share one grouping tree.
     """
 
-    __slots__ = ("token_ids", "masses", "total", "_grouping", "_children", "_member_map", "_cumsum")
+    __slots__ = ("token_ids", "masses", "total", "_groups", "_children", "_member_map", "_cumsum")
 
     def __init__(self, token_ids: np.ndarray, masses: np.ndarray, total: int):
         self.token_ids = token_ids
         self.masses = masses
         self.total = total
-        self._grouping: Optional[Grouping] = None
+        self._groups: Optional[List[Group]] = None
         self._children: Dict[int, "_Node"] = {}
         self._member_map: Optional[Dict[int, int]] = None
         self._cumsum: Optional[np.ndarray] = None
@@ -214,15 +202,15 @@ class _Node:
     def u(self) -> int:
         return group_count(int(self.masses[0]), self.total)
 
-    def grouping(self) -> Grouping:
-        if self._grouping is None:
-            self._grouping = equal_group(self.token_ids, self.masses, self.u)
-        return self._grouping
+    def groups(self) -> List[Group]:
+        if self._groups is None:
+            self._groups = equal_group(self.token_ids, self.masses, self.u)
+        return self._groups
 
     def child(self, index: int) -> "_Node":
         node = self._children.get(index)
         if node is None:
-            g = self.grouping().groups[index]
+            g = self.groups()[index]
             node = _Node(g.token_ids, g.masses, g.total_mass)
             self._children[index] = node
         return node
@@ -230,7 +218,7 @@ class _Node:
     def group_of(self, token_id: int) -> Optional[int]:
         if self._member_map is None:
             mapping: Dict[int, int] = {}
-            for idx, g in enumerate(self.grouping().groups):
+            for idx, g in enumerate(self.groups()):
                 for t in g.token_ids:
                     mapping[int(t)] = idx
             self._member_map = mapping
@@ -239,9 +227,7 @@ class _Node:
     def sample(self, rng: random.Random) -> int:
         if self._cumsum is None:
             self._cumsum = np.cumsum(self.masses)
-        x = rng.randrange(self.total)
-        pos = int(np.searchsorted(self._cumsum, x, side="right"))
-        return int(self.token_ids[pos])
+        return sample_token(rng, self.token_ids, self._cumsum, self.total)
 
 
 def _tree(dist: ConditionalDistribution) -> _Node:
@@ -323,13 +309,13 @@ def implicit_q(dist: ConditionalDistribution) -> np.ndarray:
             q[pos] += scale / u
         else:
             child_scale = scale / u
-            for g in equal_group(pos, m, u).groups:
+            for g in equal_group(pos, m, u):
                 stack.append((g.token_ids, g.masses, g.total_mass, child_scale))
     dist.cache["adg_q"] = q
     return q
 
 
-class ADGCodec:
+class ADGCodec(runner.Codec):
     """Adapter exposing the grouping codec through the shared runner loop."""
 
     name = "adg"
@@ -337,24 +323,12 @@ class ADGCodec:
     def __init__(self):
         self.params: Dict = {}
 
-    def begin_embed(self) -> None:
-        pass
-
-    def begin_extract(self) -> None:
-        pass
-
-    def delivered(self, msg: BitMessage) -> bool:
-        return msg.exhausted
-
     def embed_step(self, dist, msg, sample_rng, pad_rng):
         token, bits, levels = embed_step(dist, msg, sample_rng, pad_rng)
         return token, bits, [u for u, _ in levels]
 
     def extract_step(self, dist, token_id):
         return extract_step(dist, token_id)
-
-    def finish_extract(self) -> List[int]:
-        return []
 
     def step_q(self, dist):
         return dist.token_ids, implicit_q(dist)

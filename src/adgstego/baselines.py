@@ -1,7 +1,7 @@
 """Reference stego codecs used for comparison: bins, Huffman, patient
 Huffman and fixed-precision arithmetic coding.
 
-Each codec plugs into :mod:`adgstego.runner` with an ``embed_step`` /
+Each codec is a :class:`~adgstego.runner.Codec` with an ``embed_step`` /
 ``extract_step`` pair and an implicit per-step distribution ``q`` for the
 distortion metrics.  Everything each codec decides per step is derived
 from the shared quantized distribution (plus static, seed-fixed state),
@@ -14,16 +14,17 @@ import heapq
 import math
 import random
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from .bitio import BitMessage, index_to_bits, next_index
 from .errors import DesyncError, StegoError
-from .lm import ConditionalDistribution
+from .lm import ConditionalDistribution, sample_token
+from .runner import Codec
 
 
-class BinsCodec:
+class BinsCodec(Codec):
     """Static random partition of the vocabulary into ``2**b`` bins.
 
     Each step consumes ``b`` bits to select a bin and emits the
@@ -46,15 +47,6 @@ class BinsCodec:
         self.token_to_bin = np.empty(vocab_size, dtype=np.int64)
         for pos, token in enumerate(shuffled):
             self.token_to_bin[token] = pos % self.nbins
-
-    def begin_embed(self) -> None:
-        pass
-
-    def begin_extract(self) -> None:
-        pass
-
-    def delivered(self, msg: BitMessage) -> bool:
-        return msg.exhausted
 
     def _bin_argmax(self, dist: ConditionalDistribution) -> np.ndarray:
         """Per-bin position of its highest-mass token in ``dist`` (-1 if empty)."""
@@ -82,9 +74,6 @@ class BinsCodec:
         if not 0 <= token_id < self.token_to_bin.size:
             raise DesyncError(f"token {token_id} outside the partitioned vocabulary")
         return index_to_bits(int(self.token_to_bin[token_id]), self.b)
-
-    def finish_extract(self) -> List[int]:
-        return []
 
     def step_q(self, dist):
         table = self._bin_argmax(dist)
@@ -128,7 +117,7 @@ def _build_huffman(dist: ConditionalDistribution, k: int):
     return root, codes
 
 
-class HuffmanCodec:
+class HuffmanCodec(Codec):
     """Per-step Huffman coding of the top ``2**k`` likely tokens."""
 
     name = "huffman"
@@ -138,15 +127,6 @@ class HuffmanCodec:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
         self.params = {"k": k}
-
-    def begin_embed(self) -> None:
-        pass
-
-    def begin_extract(self) -> None:
-        pass
-
-    def delivered(self, msg: BitMessage) -> bool:
-        return msg.exhausted
 
     def embed_step(self, dist, msg, sample_rng, pad_rng):
         node, _codes = _build_huffman(dist, self.k)
@@ -162,9 +142,6 @@ class HuffmanCodec:
         if code is None:
             raise DesyncError(f"token {token_id} outside the top {1 << self.k} set")
         return list(code)
-
-    def finish_extract(self) -> List[int]:
-        return []
 
     def step_q(self, dist):
         _root, codes = _build_huffman(dist, self.k)
@@ -194,7 +171,7 @@ def _huffman_distortion(dist: ConditionalDistribution, k: int) -> float:
     return d
 
 
-class PatientHuffmanCodec:
+class PatientHuffmanCodec(Codec):
     """Huffman embedding gated per step by a distortion threshold.
 
     A step embeds via Huffman only when the codeword-vs-model KL is below
@@ -215,15 +192,6 @@ class PatientHuffmanCodec:
         self.params = {"k": k, "delta": delta}
         self._huffman = HuffmanCodec(k)
 
-    def begin_embed(self) -> None:
-        pass
-
-    def begin_extract(self) -> None:
-        pass
-
-    def delivered(self, msg: BitMessage) -> bool:
-        return msg.exhausted
-
     def _patient(self, dist) -> bool:
         return not (_huffman_distortion(dist, self.k) < self.delta)
 
@@ -232,8 +200,7 @@ class PatientHuffmanCodec:
         if cumsum is None:
             cumsum = np.cumsum(dist.masses)
             dist.cache["cumsum"] = cumsum
-        x = sample_rng.randrange(dist.denominator)
-        return int(dist.token_ids[int(np.searchsorted(cumsum, x, side="right"))])
+        return sample_token(sample_rng, dist.token_ids, cumsum, dist.denominator)
 
     def embed_step(self, dist, msg, sample_rng, pad_rng):
         if self._patient(dist):
@@ -245,16 +212,13 @@ class PatientHuffmanCodec:
             return []
         return self._huffman.extract_step(dist, token_id)
 
-    def finish_extract(self) -> List[int]:
-        return []
-
     def step_q(self, dist):
         if self._patient(dist):
             return dist.token_ids, dist.probs()
         return self._huffman.step_q(dist)
 
 
-class ArithmeticCodec:
+class ArithmeticCodec(Codec):
     """Fixed-precision range coder over the renormalized top ``h`` tokens.
 
     Embedding decodes the message bitstream as if it were the arithmetic
@@ -290,12 +254,7 @@ class ArithmeticCodec:
         self._pending = 0
         self._resolved = 0
 
-    def begin_extract(self) -> None:
-        self._low = 0
-        self._high = self._full - 1
-        self._value = None
-        self._pending = 0
-        self._resolved = 0
+    begin_extract = begin_embed
 
     def delivered(self, msg: BitMessage) -> bool:
         return self._resolved >= len(msg)

@@ -67,10 +67,6 @@ class BitMessage:
         return list(self._bits)
 
     @property
-    def remaining(self) -> int:
-        return len(self._bits) - self.cursor
-
-    @property
     def exhausted(self) -> bool:
         return self.cursor >= len(self._bits)
 

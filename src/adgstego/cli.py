@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import logging
@@ -19,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 import yaml
 
 from . import adg, baselines, bundled, corpus, lm, metrics, runner
-from .bitio import bits_to_bytes, deframe, frame, hex_to_bits
+from .bitio import bits_to_bytes, deframe, frame
 from .errors import ConfigError, DesyncError, StegoError
 
 log = logging.getLogger("adgstego")
@@ -165,7 +166,10 @@ def cmd_train(args, cfg: Dict) -> None:
 
 def _read_payload(args) -> bytes:
     if args.hex is not None:
-        return bits_to_bytes(hex_to_bits(args.hex))
+        try:
+            return bytes.fromhex(args.hex.strip())
+        except ValueError as exc:
+            raise ConfigError(f"--hex is not a hex string: {exc}") from exc
     with open(args.input, "rb") as fh:
         return fh.read()
 
@@ -268,7 +272,10 @@ def cmd_bench(args, cfg: Dict) -> None:
 
 
 def cmd_metrics(args, cfg: Dict) -> None:
-    trace = runner.EmbedTrace.load(args.trace)
+    try:
+        trace = runner.EmbedTrace.load(args.trace)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"--trace {args.trace} is not a trace file: {exc!r}") from exc
     stego = corpus.read_corpus(args.stego) if args.stego else None
     cover = corpus.read_corpus(args.cover) if args.cover else None
     report = metrics.report_from_traces(
@@ -279,21 +286,7 @@ def cmd_metrics(args, cfg: Dict) -> None:
         vector_dim=int(cfg["bench"]["vector_dim"]),
         vector_seed=int(cfg["seeds"]["vector"]),
     )
-    out = {
-        "method": report.method,
-        "params": report.params,
-        "er": report.er,
-        "er_payload_only": report.er_payload_only,
-        "kld1_qp": report.kld1_qp,
-        "kld1_pq": report.kld1_pq,
-        "kld2": report.kld2,
-        "eer": report.eer,
-        "entropy": report.entropy,
-        "tokens": report.tokens,
-        "vectorizer": report.vectorizer,
-        "vectorizer_seed": report.vectorizer_seed,
-    }
-    text = json.dumps(out, sort_keys=True, indent=2)
+    text = json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

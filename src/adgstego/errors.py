@@ -38,4 +38,4 @@ class CapacityError(StegoError):
 
 
 class ConfigError(StegoError):
-    """Run configuration failed validation; message names the key path."""
+    """Run configuration or command-line input failed validation; message names the key."""

@@ -16,10 +16,10 @@ two endpoints never need to agree on float behavior.
 from __future__ import annotations
 
 import json
-import math
+import random
 import socket
 import subprocess
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,6 +122,16 @@ class ConditionalDistribution:
         ids = np.asarray(token_ids, dtype=np.int64)
         m = np.asarray(masses, dtype=np.int64)
         return cls(ids, m, denominator=int(m.sum()))
+
+
+def sample_token(rng: random.Random, token_ids: np.ndarray, cumsum: np.ndarray, total: int) -> int:
+    """Inverse-CDF draw: the token whose cumulative-mass interval holds ``rng.randrange(total)``.
+
+    ``cumsum`` is the running sum of the masses aligned with ``token_ids``
+    and ``total`` its last entry.
+    """
+    x = rng.randrange(total)
+    return int(token_ids[int(np.searchsorted(cumsum, x, side="right"))])
 
 
 class NGramLM:
@@ -263,17 +273,6 @@ def train_ngram(
             frozen[ctx] = (ids, counts, int(counts.sum()))
         tables[length] = frozen
     return NGramLM(order, k, v, vocab.content_hash(), unigrams, tables)
-
-
-def _mean_entropy_bits(lm: NGramLM, contexts: Iterable[Sequence[int]]) -> float:
-    """Mean Shannon entropy (bits) of the model's distribution over contexts."""
-    total, n = 0.0, 0
-    for ctx in contexts:
-        p = lm.next_scores(ctx)
-        p = p[p > 0]
-        total += float(-(p * np.log2(p)).sum())
-        n += 1
-    return total / n if n else math.nan
 
 
 class ExternalProvider:

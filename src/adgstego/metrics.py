@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,18 +64,17 @@ class Kld1Result:
     steps: int
 
 
-def kld1(trace: EmbedTrace) -> Kld1Result:
+def kld1(*traces: EmbedTrace) -> Kld1Result:
     """Average per-step KL between the implicit and model distributions.
 
-    Requires a trace recorded with per-step stats; both directions are
-    averaged, the p||q direction only while finite (truncated-support
-    codecs make it infinite).
+    Requires traces recorded with per-step stats; the scored steps of all
+    ``traces`` are pooled.  Both directions are averaged, the p||q
+    direction only while finite (truncated-support codecs make it
+    infinite).
     """
     qps, pqs = [], []
     finite_pq = True
-    for s in trace.steps:
-        if s.forced:
-            continue
+    for s in (s for trace in traces for s in trace.steps if not s.forced):
         if s.kld_qp is None:
             raise StegoError("trace lacks per-step divergence stats")
         qps.append(s.kld_qp)
@@ -95,7 +95,10 @@ def mean_step_entropy(trace: EmbedTrace) -> float:
     return sum(values) / len(values)
 
 
-_pattern_cache: Dict = {}
+# Token patterns memoized across calls; the oldest entry is evicted past
+# the bound (~1 KB each at the default dimension).
+PATTERN_CACHE_ENTRIES = 1 << 14
+_pattern_cache: "OrderedDict[Tuple[str, int, int], np.ndarray]" = OrderedDict()
 
 
 def _token_pattern(token: str, dim: int, seed: int) -> np.ndarray:
@@ -106,6 +109,8 @@ def _token_pattern(token: str, dim: int, seed: int) -> np.ndarray:
         rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "big")))
         hit = rng.choice(np.asarray([-1.0, 1.0]), size=dim)
         _pattern_cache[key] = hit
+        if len(_pattern_cache) > PATTERN_CACHE_ENTRIES:
+            _pattern_cache.popitem(last=False)
     return hit
 
 
@@ -179,18 +184,7 @@ def report_from_traces(
     bits = sum(t.total_bits for t in traces)
     payload_bits = sum(min(t.total_bits, t.payload_bits) for t in traces)
     tokens = sum(t.total_tokens for t in traces)
-    qps, pqs = [], []
-    finite_pq = True
-    for t in traces:
-        r = kld1(t)
-        qps.append((r.mean_qp, r.steps))
-        if r.mean_pq is None:
-            finite_pq = False
-        else:
-            pqs.append((r.mean_pq, r.steps))
-    total_steps = sum(n for _, n in qps)
-    mean_qp = sum(v * n for v, n in qps) / total_steps
-    mean_pq = sum(v * n for v, n in pqs) / total_steps if (finite_pq and pqs) else None
+    divergence = kld1(*traces)
     entropies = [
         s.entropy for t in traces for s in t.steps if not s.forced and s.entropy is not None
     ]
@@ -206,8 +200,8 @@ def report_from_traces(
         params=traces[0].params,
         er=er_value,
         er_payload_only=payload_bits / tokens,
-        kld1_qp=mean_qp,
-        kld1_pq=mean_pq,
+        kld1_qp=divergence.mean_qp,
+        kld1_pq=divergence.mean_pq,
         kld2=kld2_value,
         eer=eer(acc, er_value) if acc is not None else None,
         entropy=mean_entropy,

@@ -1,9 +1,9 @@
 """Shared autoregressive generation loop for every stego codec.
 
-A codec object supplies ``embed_step`` / ``extract_step`` plus optional
-stream state; this module owns everything the codecs have in common: the
-sentence loop, the EOS length constraints, distribution caching, and the
-per-step trace used by the metrics layer.
+A codec (a :class:`Codec` subclass) supplies ``embed_step`` /
+``extract_step`` plus optional stream state; this module owns everything
+the codecs have in common: the sentence loop, the EOS length constraints,
+distribution caching, and the per-step trace used by the metrics layer.
 
 Length constraints are part of the codec contract, not the sampler:
 before ``min_len`` content tokens the EOS mass is masked down to 1 (the
@@ -18,12 +18,12 @@ import json
 import math
 import random
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bitio import BitMessage
+from .bitio import HEADER_BITS, BitMessage
 from .corpus import BOS_ID, EOS_ID
 from .errors import CapacityError, DesyncError
 from .lm import ConditionalDistribution
@@ -106,52 +106,28 @@ class EmbedTrace:
         return len(self.steps)
 
     def save(self, path: str) -> None:
+        """One JSON line for the header fields, then one per step without its ``None`` fields."""
         with open(path, "w", encoding="utf-8") as fh:
-            header = {
-                "record": "header",
-                "method": self.method,
-                "params": self.params,
-                "frame_bits": self.frame_bits,
-                "payload_bits": self.payload_bits,
-            }
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            header = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "steps"}
+            fh.write(json.dumps({"record": "header", **header}, sort_keys=True) + "\n")
             for s in self.steps:
-                row = {"record": "step", "token": s.token, "bits": s.bits, "forced": s.forced}
-                if s.group_sizes is not None:
-                    row["group_sizes"] = s.group_sizes
-                for key in ("kld_qp", "kld_pq", "entropy"):
-                    value = getattr(s, key)
-                    if value is not None:
-                        row[key] = value
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+                row = {key: value for key, value in asdict(s).items() if value is not None}
+                fh.write(json.dumps({"record": "step", **row}, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "EmbedTrace":
         with open(path, encoding="utf-8") as fh:
             header = json.loads(fh.readline())
-            if header.get("record") != "header":
+            if not isinstance(header, dict) or header.get("record") != "header":
                 raise ValueError(f"trace file {path} lacks a header record")
-            trace = cls(
-                method=header["method"],
-                params=header["params"],
-                frame_bits=header["frame_bits"],
-                payload_bits=header["payload_bits"],
-            )
+            trace = cls(**{f.name: header[f.name] for f in fields(cls) if f.name != "steps"})
             for line in fh:
                 if not line.strip():
                     continue
                 row = json.loads(line)
-                trace.steps.append(
-                    StepRecord(
-                        token=row["token"],
-                        bits=row["bits"],
-                        forced=row.get("forced", False),
-                        group_sizes=row.get("group_sizes"),
-                        kld_qp=row.get("kld_qp"),
-                        kld_pq=row.get("kld_pq"),
-                        entropy=row.get("entropy"),
-                    )
-                )
+                if not isinstance(row, dict) or row.pop("record", None) != "step":
+                    raise ValueError(f"trace file {path} holds a line that is not a step record")
+                trace.steps.append(StepRecord(**row))
         return trace
 
 
@@ -164,6 +140,31 @@ class GenerationConfig:
     sample_seed: int = 0
     pad_seed: int = 1
     collect_stats: bool = False
+
+
+class Codec:
+    """Base class of the codecs driven by :func:`embed_text` and :func:`extract_text`.
+
+    A subclass defines ``name``, ``params`` (a JSON-serializable dict),
+    ``embed_step(dist, msg, sample_rng, pad_rng) -> (token, bits, group_sizes)``,
+    ``extract_step(dist, token) -> bits`` and ``step_q(dist) -> (ids, probs)``.
+    The defaults below fit a codec without state between steps; a codec
+    with stream state overrides them.
+    """
+
+    def begin_embed(self) -> None:
+        """Reset stream state before a message is embedded."""
+
+    def begin_extract(self) -> None:
+        """Reset stream state before sentences are read back."""
+
+    def delivered(self, msg: BitMessage) -> bool:
+        """Whether the receiver can already recover every bit of ``msg``."""
+        return msg.exhausted
+
+    def finish_extract(self) -> List[int]:
+        """Bits still held in stream state once the last token is read."""
+        return []
 
 
 def _step_stats(dist: ConditionalDistribution, q_ids, q_probs) -> Tuple[float, float, float]:
@@ -184,7 +185,7 @@ def _step_stats(dist: ConditionalDistribution, q_ids, q_probs) -> Tuple[float, f
 
 
 def embed_text(
-    codec, msg: BitMessage, provider, cfg: GenerationConfig
+    codec: Codec, msg: BitMessage, provider, cfg: GenerationConfig
 ) -> Tuple[List[List[int]], EmbedTrace]:
     """Generate stegotext sentences until the frame is delivered.
 
@@ -201,7 +202,7 @@ def embed_text(
         method=codec.name,
         params=dict(codec.params),
         frame_bits=len(msg),
-        payload_bits=max(len(msg) - 32, 0),
+        payload_bits=max(len(msg) - HEADER_BITS, 0),
     )
     sentences: List[List[int]] = []
     total_tokens = 0
@@ -242,7 +243,7 @@ def embed_text(
             return sentences, trace
 
 
-def extract_text(codec, sentences: Sequence[Sequence[int]], provider, cfg: GenerationConfig) -> List[int]:
+def extract_text(codec: Codec, sentences: Sequence[Sequence[int]], provider, cfg: GenerationConfig) -> List[int]:
     """Recover the raw bitstream from stegotext sentences (frame included)."""
     if not isinstance(provider, CachedProvider):
         provider = CachedProvider(provider)

@@ -90,15 +90,15 @@ def _single_level_forms(dist):
     u = group_count(dist.p_max_mass, dist.denominator)
     grouping = equal_group(dist.token_ids, dist.masses, u)
     total = float(dist.denominator)
-    etas = [g.total_mass / total for g in grouping.groups]
+    etas = [g.total_mass / total for g in grouping]
     group_form = math.fsum(e * math.log2(u * e) for e in etas)
     token_form = 0.0
-    for g, eta in zip(grouping.groups, etas):
+    for g, eta in zip(grouping, etas):
         # Within the final group q's conditional equals p's, so the token
         # terms reduce to p_t * log2(u * eta_g).
         for m in g.masses:
             token_form += (int(m) / total) * math.log2(u * eta)
-    return token_form, group_form, [g.total_mass for g in grouping.groups]
+    return token_form, group_form, [g.total_mass for g in grouping]
 
 
 def test_single_level_distortion_identity(capsys):

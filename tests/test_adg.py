@@ -50,9 +50,9 @@ def worked_dist():
 def test_equal_group_worked_example():
     dist = worked_dist()
     grouping = equal_group(dist.token_ids, dist.masses, 2)
-    assert [g.token_ids.tolist() for g in grouping.groups] == [[0, 3], [1, 2]]
+    assert [g.token_ids.tolist() for g in grouping] == [[0, 3], [1, 2]]
     # Both groups land on exactly half the total mass.
-    assert [g.total_mass for g in grouping.groups] == [1 << 30, 1 << 30]
+    assert [g.total_mass for g in grouping] == [1 << 30, 1 << 30]
 
 
 def test_equal_group_rejects_bad_u():
@@ -66,8 +66,8 @@ def test_equal_group_rejects_bad_u():
 def test_equal_group_single_group_is_identity():
     dist = worked_dist()
     grouping = equal_group(dist.token_ids, dist.masses, 1)
-    assert len(grouping.groups) == 1
-    assert grouping.groups[0].token_ids.tolist() == [0, 1, 2, 3]
+    assert len(grouping) == 1
+    assert grouping[0].token_ids.tolist() == [0, 1, 2, 3]
 
 
 def test_equal_group_singleton_fast_path_matches_order():
@@ -75,7 +75,7 @@ def test_equal_group_singleton_fast_path_matches_order():
     ids = np.asarray([5, 2, 9, 7], dtype=np.int64)
     masses = np.asarray([10, 30, 30, 10], dtype=np.int64)
     grouping = equal_group(ids, masses, 4)
-    assert [int(g.token_ids[0]) for g in grouping.groups] == [2, 9, 5, 7]
+    assert [int(g.token_ids[0]) for g in grouping] == [2, 9, 5, 7]
 
 
 def test_equal_group_covers_all_tokens_once():
@@ -84,10 +84,10 @@ def test_equal_group_covers_all_tokens_once():
         dist = random_distribution(rng, rng.randint(2, 64))
         u = group_count(dist.p_max_mass, dist.denominator)
         grouping = equal_group(dist.token_ids, dist.masses, u)
-        seen = sorted(int(t) for g in grouping.groups for t in g.token_ids)
+        seen = sorted(int(t) for g in grouping for t in g.token_ids)
         assert seen == sorted(dist.token_ids.tolist())
-        assert sum(g.total_mass for g in grouping.groups) == dist.denominator
-        assert all(g.total_mass > 0 for g in grouping.groups)
+        assert sum(g.total_mass for g in grouping) == dist.denominator
+        assert all(g.total_mass > 0 for g in grouping)
 
 
 def test_embed_step_worked_example_consumes_one_bit():
@@ -176,10 +176,10 @@ def test_single_level_kl_identity():
         if u < 2:
             continue
         grouping = equal_group(dist.token_ids, dist.masses, u)
-        etas = [g.total_mass / dist.denominator for g in grouping.groups]
+        etas = [g.total_mass / dist.denominator for g in grouping]
         group_form = sum(e * math.log2(u * e) for e in etas)
         token_form = 0.0
-        for g, eta in zip(grouping.groups, etas):
+        for g, eta in zip(grouping, etas):
             for m in g.masses:
                 p = int(m) / dist.denominator
                 token_form += p * math.log2(u * eta)

@@ -184,3 +184,31 @@ def test_bench_small_grid(workdir):
     assert float(by_method["bins"]["er"]) == 3.0  # b bits per token, exactly
     assert float(by_method["adg"]["er"]) > 3.0
     assert float(by_method["adg"]["kld1_qp"]) < float(by_method["bins"]["kld1_qp"])
+
+
+def test_bad_hex_payload_exits_nonzero(workdir):
+    assert main(
+        [
+            "embed",
+            "--model", str(workdir / "model.json"),
+            "--vocab", str(workdir / "vocab.tsv"),
+            "--hex", "zz",
+            "--out-stego", str(workdir / "stego4.txt"),
+        ]
+    ) == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"record": "step", "token": 4, "bits": 1.0}\n',
+        "not a trace\n",
+        '{"record": "header", "method": "adg", "params": {}, "frame_bits": 32, '
+        '"payload_bits": 0}\n42\n',
+    ],
+    ids=["no-header", "not-json", "step-not-object"],
+)
+def test_metrics_on_malformed_trace_exits_nonzero(tmp_path, text):
+    path = tmp_path / "trace.ndjson"
+    path.write_text(text)
+    assert main(["metrics", "--trace", str(path)]) == 1

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from adgstego import ADGCodec, frame
+from adgstego import metrics
 from adgstego.errors import StegoError
 from adgstego.metrics import (
     Kld1Result,
@@ -80,6 +81,14 @@ def test_kld1_requires_stats():
         kld1(make_trace([1, 2]))
 
 
+def test_kld1_pools_the_steps_of_several_traces():
+    a = make_trace([1, 1], kld_qp=0.5, kld_pq=0.25)
+    b = make_trace([1], kld_qp=2.0, kld_pq=1.0)
+    assert kld1(a, b) == Kld1Result(mean_qp=1.0, mean_pq=0.5, steps=3)
+    b.steps[0].kld_pq = math.inf
+    assert kld1(a, b).mean_pq is None
+
+
 def test_sentence_vector_deterministic_unit_order_insensitive():
     a = sentence_vector(["the", "cat", "sat"], dim=64, seed=1)
     b = sentence_vector(["sat", "the", "cat"], dim=64, seed=1)
@@ -89,6 +98,18 @@ def test_sentence_vector_deterministic_unit_order_insensitive():
     assert not np.allclose(a, c)
     with pytest.raises(StegoError):
         sentence_vector([], dim=64)
+
+
+def test_pattern_cache_stays_bounded():
+    metrics._pattern_cache.clear()
+    try:
+        tokens = [f"w{i}" for i in range(metrics.PATTERN_CACHE_ENTRIES + 50)]
+        sentence_vector(tokens, dim=4)
+        assert len(metrics._pattern_cache) == metrics.PATTERN_CACHE_ENTRIES
+        assert ("w0", 4, 0) not in metrics._pattern_cache  # the oldest went first
+        assert (tokens[-1], 4, 0) in metrics._pattern_cache
+    finally:
+        metrics._pattern_cache.clear()
 
 
 def test_kld2_zero_for_identical_sets_and_positive_for_shifted():
