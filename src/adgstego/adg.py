@@ -10,6 +10,17 @@ over total mass ``M`` is the largest power of two ``u`` with
 groups with the largest remaining token and greedily tops it up with the
 token whose mass is nearest the remaining gap, accepting a candidate only
 while ``candidate_mass < 2 * gap``; the last group takes the rest.
+
+The greedy walks the tokens in mass-desc order with id-asc ties, so the
+largest remaining token with the lowest id is simply the first alive
+index.  When even that token falls short of the gap, the nearest mass is
+the largest one and it fits; the step repeats while the alive run from
+the front lasts and its masses stay under the gap, so the whole run is
+settled by one bisect on prefix sums and killed by slice assignment.
+Only nearest-mass picks leave holes past the front, so a run ends at the
+next hole at the latest.  Groups are then read off a label array with
+one stable argsort.
+
 Embedding selects a group per ``log2(u)`` message bits and recurses into
 it (pruning: only the selected group is ever regrouped) until the current
 group's renormalized maximum exceeds one half, then samples a token within
@@ -20,7 +31,7 @@ the observed token.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -63,6 +74,11 @@ class _AliveIndex:
         self.nxt[i] = i + 1
         self.prv[i] = i - 1
 
+    def kill_run(self, start: int, stop: int) -> None:
+        """Kill every index in ``[start, stop)``."""
+        self.nxt[start:stop] = [stop] * (stop - start)
+        self.prv[start:stop] = [start - 1] * (stop - start)
+
     def next_alive(self, i: int) -> int:
         """First alive index >= i, or n."""
         nxt = self.nxt
@@ -87,116 +103,118 @@ class _AliveIndex:
 
 
 def equal_group(token_ids: Sequence[int], masses: Sequence[int], u: int) -> List[Group]:
-    """Partition a mass-desc sorted distribution into ``u`` near-equal groups.
+    """Partition a distribution into ``u`` near-equal groups.
 
     Nearest-mass ties prefer the lower mass, then the lower token id, so
-    the result is unique for a given input.
+    the result is unique for a given input.  The input need not be sorted.
     """
     if u < 1 or (u & (u - 1)) != 0:
         raise StegoError(f"group count {u} is not a power of two")
     ids = np.asarray(token_ids, dtype=np.int64)
     m = np.asarray(masses, dtype=np.int64)
     n = int(ids.size)
-    total = int(m.sum())
     if u == 1:
-        return [Group(ids.copy(), m.copy(), total)]
+        return [Group(ids.copy(), m.copy(), int(m.sum()))]
     if u > n:
         raise StegoError(f"cannot form {u} groups from {n} tokens")
+    desc = np.lexsort((ids, -m))  # mass desc, then id asc
+    ids, m = ids[desc], m[desc]
     if u == n:
-        # Every group is a singleton, seeded in mass-desc order with
-        # id-asc ties; the top-up loop never fires (the max is >= the mean).
-        order = np.lexsort((ids, -m))
-        return [Group(ids[i : i + 1], m[i : i + 1], int(m[i])) for i in order]
+        # Every group is a singleton; the top-up loop never fires (the max
+        # is >= the mean).
+        return [Group(ids[i : i + 1], m[i : i + 1], int(m[i])) for i in range(n)]
 
-    asc = np.lexsort((ids, m))  # mass asc, then id asc
-    masses_asc: List[int] = m[asc].tolist()
-    ids_asc: List[int] = ids[asc].tolist()
+    mass: List[int] = m.tolist()
+    neg: List[int] = (-m).tolist()  # ascending, for bisect
+    prefix: List[int] = [0] + np.cumsum(m).tolist()  # prefix[i] = sum(mass[:i])
     alive = _AliveIndex(n)
-
-    def canonical_alive_with_mass(mass: int) -> int:
-        # Lowest-id alive holder of this mass value.
-        return alive.next_alive(bisect_left(masses_asc, mass))
-
-    def pop_head() -> int:
-        j = alive.prev_alive(n - 1)
-        if j < 0:
-            raise StegoError("ran out of tokens while forming groups")
-        head = canonical_alive_with_mass(masses_asc[j])
-        alive.kill(head)
-        return head
-
-    def nearest(eps_num: int, slots: int) -> Optional[int]:
-        # eps = eps_num / slots; first mass >= eps is the first >= ceil(eps).
-        lo = bisect_left(masses_asc, -(-eps_num // slots))
-        above = alive.next_alive(lo) if lo < n else n
-        below_raw = alive.prev_alive(lo - 1)
-        below = canonical_alive_with_mass(masses_asc[below_raw]) if below_raw >= 0 else -1
-        if below < 0 and above >= n:
-            return None
-        if below < 0:
-            return above
-        if above >= n:
-            return below
-        # Equidistant candidates resolve to the lower mass.
-        if 2 * eps_num <= (masses_asc[below] + masses_asc[above]) * slots:
-            return below
-        return above
+    holes: List[int] = []  # sorted; the only dead indices past the first alive one
+    labels = [u - 1] * n  # group of each index; whatever stays alive is the last group
 
     # The running mean is the exact rational remaining / slots; comparisons
     # against it cross-multiply by slots so everything stays in integers.
-    remaining = total
-    member_lists: List[List[int]] = []
-    for i in range(1, u):
-        slots = u - i + 1
-        head = pop_head()
-        gmass = masses_asc[head]
-        members = [head]
+    remaining = prefix[-1]
+    front = 0  # every index before it is dead
+    for g in range(u - 1):
+        slots = u - g
+        front = alive.next_alive(front)
+        if front >= n:
+            raise StegoError("ran out of tokens while forming groups")
+        alive.kill(front)
+        labels[front] = g
+        gmass = mass[front]
         while gmass * slots < remaining:
+            # The gap is eps = eps_num / slots; a mass reaches it iff >= ceil(eps).
             eps_num = remaining - gmass * slots
-            cand = nearest(eps_num, slots)
-            if cand is None or masses_asc[cand] * slots >= 2 * eps_num:
+            ceil_eps = -(-eps_num // slots)
+            front = alive.next_alive(front)
+            if front >= n:
+                break
+            if mass[front] * slots < eps_num:
+                # No alive mass reaches the gap, so the nearest is the largest
+                # alive token, and it fits.  That repeats while the alive run
+                # from front lasts and its prefix sum stays under the gap.
+                h = bisect_right(holes, front)
+                stop = bisect_left(prefix, prefix[front] + ceil_eps) - 1
+                if h < len(holes):
+                    stop = min(stop, holes[h])
+                alive.kill_run(front, stop)
+                labels[front:stop] = [g] * (stop - front)
+                gmass += prefix[stop] - prefix[front]
+                front = stop
+                continue
+            # Nearest to the gap: the largest mass below it or the smallest
+            # at or above it (which exists), each its lowest-id alive holder;
+            # equidistant candidates resolve to the lower mass.
+            k = bisect_right(neg, -ceil_eps)  # indices [0, k) reach the gap
+            cand = alive.next_alive(bisect_left(neg, neg[alive.prev_alive(k - 1)]))
+            below = alive.next_alive(k)
+            if below < n and 2 * eps_num <= (mass[below] + mass[cand]) * slots:
+                cand = below
+            if mass[cand] * slots >= 2 * eps_num:
                 break
             alive.kill(cand)
-            members.append(cand)
-            gmass += masses_asc[cand]
+            insort(holes, cand)
+            labels[cand] = g
+            gmass += mass[cand]
         remaining -= gmass
-        member_lists.append(members)
-
-    tail = []
-    j = alive.next_alive(0)
-    while j < n:
-        tail.append(j)
-        j = alive.next_alive(j + 1)
-    if not tail:
+    if alive.next_alive(front) >= n:
         raise StegoError("equal grouping left the final group empty")
-    member_lists.append(tail)
 
-    groups = []
-    for members in member_lists:
-        members.sort(key=lambda idx: (-masses_asc[idx], ids_asc[idx]))
-        g_ids = np.asarray([ids_asc[idx] for idx in members], dtype=np.int64)
-        g_masses = np.asarray([masses_asc[idx] for idx in members], dtype=np.int64)
-        groups.append(Group(g_ids, g_masses, int(g_masses.sum())))
-    return groups
+    # Group members keep the mass-desc order: a stable sort by label.
+    label = np.asarray(labels, dtype=np.int64)
+    order = np.argsort(label, kind="stable")
+    sizes = np.bincount(label, minlength=u)
+    starts = np.cumsum(sizes) - sizes
+    g_ids, g_masses = ids[order], m[order]
+    totals = np.add.reduceat(g_masses, starts)
+    return [
+        Group(g_ids[s : s + k], g_masses[s : s + k], t)
+        for s, k, t in zip(starts.tolist(), sizes.tolist(), totals.tolist())
+    ]
 
 
 class _Node:
-    """One recursion level: a mass-desc sorted slice of the vocabulary.
+    """One recursion level: a mass-desc sorted slice of a distribution's positions.
 
-    Children are materialized lazily and cached, so repeated embedding and
-    extraction against the same distribution share one grouping tree.
+    A node groups positions into ``dist.token_ids``, not token ids: position
+    order is mass desc with id-asc ties, so positions keep the grouping
+    tie-break order and sort ascending within every group.  Children are
+    materialized lazily and cached, so repeated embedding and extraction
+    against the same distribution share one grouping tree.
     """
 
-    __slots__ = ("token_ids", "masses", "total", "_groups", "_children", "_member_map", "_cumsum")
+    __slots__ = ("positions", "masses", "total", "_groups", "_children", "_where", "_cumsum", "_member_ids")
 
-    def __init__(self, token_ids: np.ndarray, masses: np.ndarray, total: int):
-        self.token_ids = token_ids
+    def __init__(self, positions: np.ndarray, masses: np.ndarray, total: int):
+        self.positions = positions
         self.masses = masses
         self.total = total
         self._groups: Optional[List[Group]] = None
         self._children: Dict[int, "_Node"] = {}
-        self._member_map: Optional[Dict[int, int]] = None
+        self._where: Optional[Tuple[List[int], List[int]]] = None
         self._cumsum: Optional[np.ndarray] = None
+        self._member_ids: Optional[np.ndarray] = None
 
     @property
     def u(self) -> int:
@@ -204,7 +222,7 @@ class _Node:
 
     def groups(self) -> List[Group]:
         if self._groups is None:
-            self._groups = equal_group(self.token_ids, self.masses, self.u)
+            self._groups = equal_group(self.positions, self.masses, self.u)
         return self._groups
 
     def child(self, index: int) -> "_Node":
@@ -215,25 +233,31 @@ class _Node:
             self._children[index] = node
         return node
 
-    def group_of(self, token_id: int) -> Optional[int]:
-        if self._member_map is None:
-            mapping: Dict[int, int] = {}
-            for idx, g in enumerate(self.groups()):
-                for t in g.token_ids:
-                    mapping[int(t)] = idx
-            self._member_map = mapping
-        return self._member_map.get(int(token_id))
+    def locate(self, i: int) -> Tuple[int, int]:
+        """The group holding this node's ``i``-th member, and the member's rank in it."""
+        if self._where is None:
+            groups = self.groups()
+            sizes = [g.token_ids.size for g in groups]
+            members = np.searchsorted(self.positions, np.concatenate([g.token_ids for g in groups]))
+            group = np.empty(members.size, dtype=np.int64)
+            rank = np.empty(members.size, dtype=np.int64)
+            group[members] = np.repeat(np.arange(len(groups)), sizes)
+            rank[members] = np.arange(members.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            self._where = (group.tolist(), rank.tolist())
+        return self._where[0][i], self._where[1][i]
 
-    def sample(self, rng: random.Random) -> int:
+    def sample(self, rng: random.Random, token_ids: np.ndarray) -> int:
+        """A token drawn in proportion to its mass; ``token_ids`` is the distribution's."""
         if self._cumsum is None:
             self._cumsum = np.cumsum(self.masses)
-        return sample_token(rng, self.token_ids, self._cumsum, self.total)
+            self._member_ids = token_ids[self.positions]
+        return sample_token(rng, self._member_ids, self._cumsum, self.total)
 
 
 def _tree(dist: ConditionalDistribution) -> _Node:
     node = dist.cache.get("adg_tree")
     if node is None:
-        node = _Node(dist.token_ids, dist.masses, dist.denominator)
+        node = _Node(np.arange(len(dist), dtype=np.int64), dist.masses, dist.denominator)
         dist.cache["adg_tree"] = node
     return node
 
@@ -261,12 +285,13 @@ def embed_step(
         levels.append((u, index))
         bits += r
         node = node.child(index)
-    return node.sample(sample_rng), bits, levels
+    return node.sample(sample_rng, dist.token_ids), bits, levels
 
 
 def extract_step(dist: ConditionalDistribution, observed_token: int) -> List[int]:
     """Replay the grouping recursion and emit the observed token's group indices."""
-    if dist.position_of(observed_token) is None:
+    i = dist.position_of(observed_token)
+    if i is None:
         raise DesyncError(f"token {observed_token} absent from the shared distribution")
     node = _tree(dist)
     bits: List[int] = []
@@ -274,9 +299,7 @@ def extract_step(dist: ConditionalDistribution, observed_token: int) -> List[int
         u = node.u
         if u < 2:
             return bits
-        index = node.group_of(observed_token)
-        if index is None:
-            raise DesyncError(f"token {observed_token} fell out of the grouping recursion")
+        index, i = node.locate(i)
         bits.extend(index_to_bits(index, u.bit_length() - 1))
         node = node.child(index)
 

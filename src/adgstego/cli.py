@@ -243,6 +243,22 @@ def _bench_cell(model, vocab, cfg: Dict, spec: Dict, cover: List[List[str]]):
     return report
 
 
+# MetricReport fields the bench CSV leaves out: ``eer`` needs a detector's
+# accuracy, and the vectorizer is named in a header comment.
+_BENCH_OMITTED = ("eer", "vectorizer", "vectorizer_seed")
+
+
+def _csv_text(name: str, value) -> str:
+    if isinstance(value, dict):
+        return '"' + json.dumps(value, sort_keys=True).replace('"', "'") + '"'
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    if value is None:
+        # kld1_pq is None when some step made it infinite.
+        return "inf" if name == "kld1_pq" else ""
+    return str(value)
+
+
 def cmd_bench(args, cfg: Dict) -> None:
     model, vocab = _load_model(args.model, args.vocab)
     test_sentences = corpus.read_corpus(args.corpus)
@@ -254,20 +270,13 @@ def cmd_bench(args, cfg: Dict) -> None:
         log.info("bench cell: %s", json.dumps(spec, sort_keys=True))
         report = _bench_cell(model, vocab, cfg, spec, cover)
         rows.append(report)
+    columns = [f.name for f in dataclasses.fields(metrics.MetricReport) if f.name not in _BENCH_OMITTED]
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("# seeds=" + json.dumps(cfg["seeds"], sort_keys=True) + "\n")
         fh.write("# vectorizer=" + metrics.VECTORIZER_ID + "\n")
-        fh.write(
-            "method,params,er,er_payload_only,kld1_qp,kld1_pq,kld2,entropy,sentences,tokens\n"
-        )
+        fh.write(",".join(columns) + "\n")
         for r in rows:
-            params = json.dumps(r.params, sort_keys=True).replace('"', "'")
-            pq = f"{r.kld1_pq:.6f}" if r.kld1_pq is not None else "inf"
-            ent = f"{r.entropy:.6f}" if r.entropy is not None else ""
-            fh.write(
-                f"{r.method},\"{params}\",{r.er:.6f},{r.er_payload_only:.6f},"
-                f"{r.kld1_qp:.6f},{pq},{r.kld2:.6f},{ent},{r.sentences},{r.tokens}\n"
-            )
+            fh.write(",".join(_csv_text(name, getattr(r, name)) for name in columns) + "\n")
     log.info("wrote %d bench rows to %s", len(rows), args.out)
 
 

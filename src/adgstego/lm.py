@@ -101,7 +101,7 @@ class ConditionalDistribution:
 
     def position_of(self, token_id: int) -> Optional[int]:
         if self._positions is None:
-            self._positions = {int(t): i for i, t in enumerate(self.token_ids)}
+            self._positions = dict(zip(self.token_ids.tolist(), range(len(self))))
         return self._positions.get(int(token_id))
 
     def probs(self) -> np.ndarray:

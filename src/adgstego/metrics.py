@@ -88,11 +88,17 @@ def kld1(*traces: EmbedTrace) -> Kld1Result:
     return Kld1Result(mean_qp=sum(qps) / len(qps), mean_pq=mean_pq, steps=len(qps))
 
 
-def mean_step_entropy(trace: EmbedTrace) -> float:
-    values = [s.entropy for s in trace.steps if s.entropy is not None]
-    if not values:
+def _mean_entropy(traces: Sequence[EmbedTrace]) -> Optional[float]:
+    values = [s.entropy for t in traces for s in t.steps if not s.forced and s.entropy is not None]
+    return sum(values) / len(values) if values else None
+
+
+def mean_step_entropy(*traces: EmbedTrace) -> float:
+    """Mean per-step model entropy (bits) over the scored steps of ``traces``."""
+    mean = _mean_entropy(traces)
+    if mean is None:
         raise StegoError("trace lacks per-step entropy stats")
-    return sum(values) / len(values)
+    return mean
 
 
 # Token patterns memoized across calls; the oldest entry is evicted past
@@ -185,10 +191,6 @@ def report_from_traces(
     payload_bits = sum(min(t.total_bits, t.payload_bits) for t in traces)
     tokens = sum(t.total_tokens for t in traces)
     divergence = kld1(*traces)
-    entropies = [
-        s.entropy for t in traces for s in t.steps if not s.forced and s.entropy is not None
-    ]
-    mean_entropy = sum(entropies) / len(entropies) if entropies else None
     kld2_value = None
     if stego_sentences is not None and cover_sentences is not None:
         cover_v = [sentence_vector(s, vector_dim, vector_seed) for s in cover_sentences]
@@ -204,7 +206,7 @@ def report_from_traces(
         kld1_pq=divergence.mean_pq,
         kld2=kld2_value,
         eer=eer(acc, er_value) if acc is not None else None,
-        entropy=mean_entropy,
+        entropy=_mean_entropy(traces),
         sentences=len(stego_sentences) if stego_sentences is not None else 0,
         tokens=tokens,
         vectorizer_seed=vector_seed,

@@ -171,7 +171,8 @@ def _step_stats(dist: ConditionalDistribution, q_ids, q_probs) -> Tuple[float, f
     """Per-step KL(q||p), KL(p||q) and H(p), all in bits."""
     p = dist.probs()
     entropy = float(-(p * np.log2(p)).sum())
-    positions = np.asarray([dist.position_of(t) for t in q_ids], dtype=np.int64)
+    by_id = np.argsort(dist.token_ids)
+    positions = by_id[np.searchsorted(dist.token_ids, q_ids, sorter=by_id)]
     q = np.asarray(q_probs, dtype=np.float64)
     support = q > 0
     qp = float((q[support] * np.log2(q[support] / p[positions[support]])).sum())

@@ -1,6 +1,8 @@
 """Shared fixtures: the bundled corpus pipeline built once per session."""
 
+import os
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,14 @@ from adgstego import CachedProvider, build_vocab, preprocess, split, train_ngram
 from adgstego.bundled import toy_corpus_path
 from adgstego.corpus import PreprocessConfig
 from adgstego.lm import ConditionalDistribution, quantize
+
+# Environment for tests that launch ``python -m adgstego.cli``: the child
+# imports this checkout's package whether or not PYTHONPATH is set.
+SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p),
+}
 
 
 @pytest.fixture(scope="session")

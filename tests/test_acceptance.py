@@ -25,7 +25,7 @@ from adgstego.cli import main
 from adgstego.lm import DENOMINATOR, ConditionalDistribution, quantize
 from adgstego.runner import GenerationConfig, embed_text, extract_text
 
-from conftest import random_distribution
+from conftest import CLI_ENV, random_distribution
 
 
 def _verdict(capsys, label, ok, detail):
@@ -397,7 +397,7 @@ def cli_artifacts(tmp_path_factory):
     d = tmp_path_factory.mktemp("acceptance_cli")
     corpus_path = subprocess.run(
         [sys.executable, "-m", "adgstego.cli", "toy-corpus"],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, env=CLI_ENV,
     ).stdout.strip()
     assert main([
         "preprocess", "--in", corpus_path,
@@ -466,14 +466,14 @@ def test_determinism_across_runs_and_processes(cli_artifacts, capsys):
             "embed", "--model", str(d / "model.json"), "--vocab", str(d / "vocab.tsv"),
             "--hex", payload, "--out-stego", str(d / "wire.txt"),
         ],
-        check=True, capture_output=True,
+        check=True, capture_output=True, env=CLI_ENV,
     )
     recovered = subprocess.run(
         base + [
             "extract", "--model", str(d / "model.json"), "--vocab", str(d / "vocab.tsv"),
             "--stego", str(d / "wire.txt"), "--hex-out",
         ],
-        check=True, capture_output=True, text=True,
+        check=True, capture_output=True, text=True, env=CLI_ENV,
     ).stdout.strip()
     ok = identical and recovered == payload
     _verdict(

@@ -9,6 +9,8 @@ import pytest
 from adgstego.cli import DEFAULT_CONFIG, load_config, main
 from adgstego.errors import ConfigError
 
+from conftest import CLI_ENV
+
 
 @pytest.fixture(scope="session")
 def workdir(tmp_path_factory):
@@ -16,7 +18,7 @@ def workdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli")
     corpus_path = subprocess.run(
         [sys.executable, "-m", "adgstego.cli", "toy-corpus"],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, env=CLI_ENV,
     ).stdout.strip()
     assert main(
         [

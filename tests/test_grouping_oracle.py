@@ -1,0 +1,128 @@
+"""The run-settling ``equal_group`` against the frozen one-step oracle, and extraction by position."""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adgstego import BitMessage, embed_step, equal_group, extract_step, group_count
+from adgstego.adg import _tree
+from adgstego.bitio import index_to_bits
+from adgstego.errors import StegoError
+from adgstego.lm import ConditionalDistribution, quantize
+
+from oracle_grouping import equal_group as oracle_equal_group
+
+ZIPF_VOCAB = 50_257
+
+
+def _groupings(token_ids, masses, u):
+    """``(groups, None)`` from both implementations, or ``(None, error)`` when they raise."""
+    out = []
+    for fn in (equal_group, oracle_equal_group):
+        try:
+            out.append((fn(token_ids, masses, u), None))
+        except StegoError as exc:
+            out.append((None, str(exc)))
+    return out
+
+
+def assert_identical(token_ids, masses, u):
+    (got, got_err), (want, want_err) = _groupings(token_ids, masses, u)
+    assert got_err == want_err
+    if want is None:
+        return
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.token_ids.dtype == w.token_ids.dtype and g.masses.dtype == w.masses.dtype
+        assert g.token_ids.tobytes() == w.token_ids.tobytes()
+        assert g.masses.tobytes() == w.masses.tobytes()
+        assert type(g.total_mass) is type(w.total_mass) and g.total_mass == w.total_mass
+
+
+def assert_identical_for_every_u(token_ids, masses):
+    u = 1
+    while u <= len(masses):
+        assert_identical(token_ids, masses, u)
+        u *= 2
+
+
+@st.composite
+def distributions(draw, mass_strategy, max_size=160):
+    n = draw(st.integers(1, max_size))
+    masses = draw(st.lists(mass_strategy, min_size=n, max_size=n))
+    ids = draw(st.lists(st.integers(0, 10 * max_size), min_size=n, max_size=n, unique=True))
+    return ids, masses
+
+
+@settings(max_examples=150, deadline=None)
+@given(distributions(st.integers(1, 10**9)))
+def test_random_masses_every_u(dist):
+    assert_identical_for_every_u(*dist)
+
+
+@settings(max_examples=150, deadline=None)
+@given(distributions(st.integers(0, 6)), st.integers(1, 3))
+def test_add_k_style_ties_every_u(dist, k):
+    # Add-k smoothing turns small counts into a few distinct masses with
+    # long runs of ties: (count + k/2) scaled to integers.
+    ids, counts = dist
+    assert_identical_for_every_u(ids, [2 * c + k for c in counts])
+
+
+@settings(max_examples=100, deadline=None)
+@given(distributions(st.integers(1, 50)), st.randoms(use_true_random=False))
+def test_unsorted_and_sorted_inputs_agree(dist, rng):
+    ids, masses = dist
+    order = sorted(range(len(ids)), key=lambda i: (-masses[i], ids[i]))
+    rng.shuffle(order)
+    assert_identical_for_every_u([ids[i] for i in order], [masses[i] for i in order])
+    by_desc = sorted(zip(ids, masses), key=lambda pair: (-pair[1], pair[0]))
+    assert_identical_for_every_u([i for i, _ in by_desc], [m for _, m in by_desc])
+
+
+def test_long_runs_and_holes_against_oracle():
+    # Heavy-headed profiles over wide flat tails: many run steps, and the
+    # nearest() picks punch holes that cut later runs short.
+    rng = random.Random(7)
+    for _ in range(40):
+        n = rng.randint(50, 600)
+        head = [rng.randint(1_000, 100_000) for _ in range(rng.randint(1, 8))]
+        tail = [rng.choice([1, 1, 2, 3, 50]) for _ in range(n)]
+        masses = head + tail
+        ids = rng.sample(range(10 * len(masses)), len(masses))
+        assert_identical_for_every_u(ids, masses)
+
+
+@pytest.fixture(scope="module")
+def zipf50k():
+    """Fully supported Zipf(1.1) over 50,257 ids, ranks on a fixed permutation."""
+    probs = 1.0 / np.arange(1, ZIPF_VOCAB + 1, dtype=np.float64) ** 1.1
+    ids = np.random.default_rng(20_230_101).permutation(ZIPF_VOCAB).astype(np.int64)
+    return ConditionalDistribution(ids, quantize(probs / probs.sum()))
+
+
+def test_zipf50k_first_two_levels_against_oracle(zipf50k):
+    u = group_count(zipf50k.p_max_mass, zipf50k.denominator)
+    assert_identical(zipf50k.token_ids, zipf50k.masses, u)
+    for g in equal_group(zipf50k.token_ids, zipf50k.masses, u):
+        assert_identical(g.token_ids, g.masses, group_count(int(g.masses[0]), g.total_mass))
+
+
+def test_extract_recovers_every_token_along_the_embed_path():
+    rng = np.random.default_rng(5)
+    ids = rng.choice(ZIPF_VOCAB, size=4096, replace=False).astype(np.int64)
+    probs = 1.0 / np.arange(1, 4097, dtype=np.float64) ** 1.1
+    dist = ConditionalDistribution(ids, quantize(probs / probs.sum()))
+    for token in dist.token_ids.tolist():
+        bits = extract_step(dist, token)
+        sampled, consumed, levels = embed_step(dist, BitMessage(bits), random.Random(token), random.Random(0))
+        assert consumed == len(bits)
+        assert [b for u, index in levels for b in index_to_bits(index, u.bit_length() - 1)] == bits
+        leaf = _tree(dist)
+        for _u, index in levels:
+            leaf = leaf.child(index)
+        assert dist.position_of(token) in leaf.positions.tolist()
+        assert extract_step(dist, sampled) == bits
