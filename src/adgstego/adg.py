@@ -21,18 +21,22 @@ Only nearest-mass picks leave holes past the front, so a run ends at the
 next hole at the latest.  Groups are then read off a label array with
 one stable argsort.
 
+One node type, :class:`_Node`, is both a group that ``equal_group``
+returns and a level of the grouping tree: a node's own groups are its
+children.  The tree groups a distribution's positions, not its token ids,
+so a token's position is the same at every level.
+
 Embedding selects a group per ``log2(u)`` message bits and recurses into
 it (pruning: only the selected group is ever regrouped) until the current
 group's renormalized maximum exceeds one half, then samples a token within
-the final group.  Extraction replays the recursion on the group containing
-the observed token.
+the final group.  Extraction replays the recursion, at each level taking
+the group that holds the observed token's position.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,15 +55,6 @@ def group_count(p_max_mass: int, denominator: int) -> int:
     if not 1 <= p_max_mass <= denominator:
         raise ValueError(f"p_max mass {p_max_mass} outside [1, {denominator}]")
     return 1 << ((denominator // p_max_mass).bit_length() - 1)
-
-
-@dataclass
-class Group:
-    """One cell of a grouping; members keep the global mass-desc order."""
-
-    token_ids: np.ndarray
-    masses: np.ndarray
-    total_mass: int
 
 
 class _AliveIndex:
@@ -102,11 +97,12 @@ class _AliveIndex:
         return root
 
 
-def equal_group(token_ids: Sequence[int], masses: Sequence[int], u: int) -> List[Group]:
+def equal_group(token_ids: Sequence[int], masses: Sequence[int], u: int) -> List["_Node"]:
     """Partition a distribution into ``u`` near-equal groups.
 
     Nearest-mass ties prefer the lower mass, then the lower token id, so
-    the result is unique for a given input.  The input need not be sorted.
+    the result is unique for a given input.  The input need not be sorted;
+    each group's members come out in mass-desc, id-asc order.
     """
     if u < 1 or (u & (u - 1)) != 0:
         raise StegoError(f"group count {u} is not a power of two")
@@ -114,7 +110,7 @@ def equal_group(token_ids: Sequence[int], masses: Sequence[int], u: int) -> List
     m = np.asarray(masses, dtype=np.int64)
     n = int(ids.size)
     if u == 1:
-        return [Group(ids.copy(), m.copy(), int(m.sum()))]
+        return [_Node(ids.copy(), m.copy(), int(m.sum()))]
     if u > n:
         raise StegoError(f"cannot form {u} groups from {n} tokens")
     desc = np.lexsort((ids, -m))  # mass desc, then id asc
@@ -122,7 +118,7 @@ def equal_group(token_ids: Sequence[int], masses: Sequence[int], u: int) -> List
     if u == n:
         # Every group is a singleton; the top-up loop never fires (the max
         # is >= the mean).
-        return [Group(ids[i : i + 1], m[i : i + 1], int(m[i])) for i in range(n)]
+        return [_Node(ids[i : i + 1], m[i : i + 1], int(m[i])) for i in range(n)]
 
     mass: List[int] = m.tolist()
     neg: List[int] = (-m).tolist()  # ascending, for bisect
@@ -189,69 +185,56 @@ def equal_group(token_ids: Sequence[int], masses: Sequence[int], u: int) -> List
     g_ids, g_masses = ids[order], m[order]
     totals = np.add.reduceat(g_masses, starts)
     return [
-        Group(g_ids[s : s + k], g_masses[s : s + k], t)
+        _Node(g_ids[s : s + k], g_masses[s : s + k], t)
         for s, k, t in zip(starts.tolist(), sizes.tolist(), totals.tolist())
     ]
 
 
 class _Node:
-    """One recursion level: a mass-desc sorted slice of a distribution's positions.
+    """A group of a distribution, and the grouping tree below it.
 
-    A node groups positions into ``dist.token_ids``, not token ids: position
-    order is mass desc with id-asc ties, so positions keep the grouping
-    tie-break order and sort ascending within every group.  Children are
-    materialized lazily and cached, so repeated embedding and extraction
-    against the same distribution share one grouping tree.
+    In the tree, ``token_ids`` holds positions into ``dist.token_ids``, not
+    token ids: position order is mass desc with id-asc ties, so positions
+    keep the grouping tie-break order.  A node's grouping is computed on
+    first use and cached; its groups are its children, so repeated
+    embedding and extraction against one distribution share one tree.
     """
 
-    __slots__ = ("positions", "masses", "total", "_groups", "_children", "_where", "_cumsum", "_member_ids")
+    __slots__ = ("token_ids", "masses", "total_mass", "_groups", "_group_of", "_cumsum", "_member_ids")
 
-    def __init__(self, positions: np.ndarray, masses: np.ndarray, total: int):
-        self.positions = positions
+    def __init__(self, token_ids: np.ndarray, masses: np.ndarray, total_mass: int):
+        self.token_ids = token_ids
         self.masses = masses
-        self.total = total
-        self._groups: Optional[List[Group]] = None
-        self._children: Dict[int, "_Node"] = {}
-        self._where: Optional[Tuple[List[int], List[int]]] = None
+        self.total_mass = total_mass
+        self._groups: Optional[List[_Node]] = None
+        self._group_of: Optional[Dict[int, int]] = None
         self._cumsum: Optional[np.ndarray] = None
         self._member_ids: Optional[np.ndarray] = None
 
     @property
     def u(self) -> int:
-        return group_count(int(self.masses[0]), self.total)
+        return group_count(int(self.masses[0]), self.total_mass)
 
-    def groups(self) -> List[Group]:
+    def groups(self) -> List["_Node"]:
         if self._groups is None:
-            self._groups = equal_group(self.positions, self.masses, self.u)
+            self._groups = equal_group(self.token_ids, self.masses, self.u)
         return self._groups
 
     def child(self, index: int) -> "_Node":
-        node = self._children.get(index)
-        if node is None:
-            g = self.groups()[index]
-            node = _Node(g.token_ids, g.masses, g.total_mass)
-            self._children[index] = node
-        return node
+        return self.groups()[index]
 
-    def locate(self, i: int) -> Tuple[int, int]:
-        """The group holding this node's ``i``-th member, and the member's rank in it."""
-        if self._where is None:
-            groups = self.groups()
-            sizes = [g.token_ids.size for g in groups]
-            members = np.searchsorted(self.positions, np.concatenate([g.token_ids for g in groups]))
-            group = np.empty(members.size, dtype=np.int64)
-            rank = np.empty(members.size, dtype=np.int64)
-            group[members] = np.repeat(np.arange(len(groups)), sizes)
-            rank[members] = np.arange(members.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-            self._where = (group.tolist(), rank.tolist())
-        return self._where[0][i], self._where[1][i]
+    def locate(self, position: int) -> int:
+        """The index of the group holding ``position``."""
+        if self._group_of is None:
+            self._group_of = {p: g for g, node in enumerate(self.groups()) for p in node.token_ids.tolist()}
+        return self._group_of[position]
 
-    def sample(self, rng: random.Random, token_ids: np.ndarray) -> int:
-        """A token drawn in proportion to its mass; ``token_ids`` is the distribution's."""
+    def sample(self, rng: random.Random, dist_token_ids: np.ndarray) -> int:
+        """A token drawn in proportion to its mass; the node holds positions into ``dist_token_ids``."""
         if self._cumsum is None:
             self._cumsum = np.cumsum(self.masses)
-            self._member_ids = token_ids[self.positions]
-        return sample_token(rng, self._member_ids, self._cumsum, self.total)
+            self._member_ids = dist_token_ids[self.token_ids]
+        return sample_token(rng, self._member_ids, self._cumsum, self.total_mass)
 
 
 def _tree(dist: ConditionalDistribution) -> _Node:
@@ -290,8 +273,8 @@ def embed_step(
 
 def extract_step(dist: ConditionalDistribution, observed_token: int) -> List[int]:
     """Replay the grouping recursion and emit the observed token's group indices."""
-    i = dist.position_of(observed_token)
-    if i is None:
+    position = dist.position_of(observed_token)
+    if position is None:
         raise DesyncError(f"token {observed_token} absent from the shared distribution")
     node = _tree(dist)
     bits: List[int] = []
@@ -299,7 +282,7 @@ def extract_step(dist: ConditionalDistribution, observed_token: int) -> List[int
         u = node.u
         if u < 2:
             return bits
-        index, i = node.locate(i)
+        index = node.locate(position)
         bits.extend(index_to_bits(index, u.bit_length() - 1))
         node = node.child(index)
 
@@ -314,26 +297,23 @@ def implicit_q(dist: ConditionalDistribution) -> np.ndarray:
     cached = dist.cache.get("adg_q")
     if cached is not None:
         return cached
-    # Recursion over positions into dist (position order is mass desc with
-    # id-asc ties, so positions preserve the grouping tie-break order and
-    # can stand in for token ids).
+    # Its own walk over the tree's node type.  It calls equal_group directly,
+    # so the tree caches only what embedding and extraction built: walking
+    # the cached tree instead kept ~20x the memory alive and ran slower.
     q = np.zeros(len(dist), dtype=np.float64)
-    n = len(dist)
-    stack: List[Tuple[np.ndarray, np.ndarray, int, float]] = [
-        (np.arange(n, dtype=np.int64), dist.masses, dist.denominator, 1.0)
-    ]
+    root = _Node(np.arange(len(dist), dtype=np.int64), dist.masses, dist.denominator)
+    stack: List[Tuple[_Node, float]] = [(root, 1.0)]
     while stack:
-        pos, m, total, scale = stack.pop()
-        u = group_count(int(m[0]), total)
+        node, scale = stack.pop()
+        u = node.u
         if u < 2:
-            q[pos] += scale * (m.astype(np.float64) / total)
-        elif u == len(pos):
+            q[node.token_ids] += scale * (node.masses.astype(np.float64) / node.total_mass)
+        elif u == len(node.token_ids):
             # All groups are singletons, each reached with probability 1/u.
-            q[pos] += scale / u
+            q[node.token_ids] += scale / u
         else:
             child_scale = scale / u
-            for g in equal_group(pos, m, u):
-                stack.append((g.token_ids, g.masses, g.total_mass, child_scale))
+            stack.extend((g, child_scale) for g in equal_group(node.token_ids, node.masses, u))
     dist.cache["adg_q"] = q
     return q
 

@@ -21,6 +21,7 @@ import numpy as np
 from .bitio import BitMessage, index_to_bits, next_index
 from .errors import DesyncError, StegoError
 from .lm import ConditionalDistribution, sample_token
+from .metrics import kl_divergence_bits
 from .runner import Codec
 
 
@@ -45,8 +46,7 @@ class BinsCodec(Codec):
         shuffled = list(range(vocab_size))
         random.Random(partition_seed).shuffle(shuffled)
         self.token_to_bin = np.empty(vocab_size, dtype=np.int64)
-        for pos, token in enumerate(shuffled):
-            self.token_to_bin[token] = pos % self.nbins
+        self.token_to_bin[np.asarray(shuffled)] = np.arange(vocab_size) % self.nbins
 
     def _bin_argmax(self, dist: ConditionalDistribution) -> np.ndarray:
         """Per-bin position of its highest-mass token in ``dist`` (-1 if empty)."""
@@ -161,12 +161,9 @@ def _huffman_distortion(dist: ConditionalDistribution, k: int) -> float:
     _root, codes = _build_huffman(dist, k)
     top = min(1 << k, len(dist))
     total = int(dist.masses[:top].sum())
-    d = 0.0
-    for pos in range(top):
-        token = int(dist.token_ids[pos])
-        q = 2.0 ** -len(codes[token])
-        p = int(dist.masses[pos]) / total
-        d += q * math.log2(q / p)
+    qs = [2.0 ** -len(codes[token]) for token in dist.token_ids[:top].tolist()]
+    ps = [mass / total for mass in dist.masses[:top].tolist()]
+    d = kl_divergence_bits(qs, ps)
     dist.cache[key] = d
     return d
 

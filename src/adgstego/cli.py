@@ -109,44 +109,63 @@ def load_config(path: Optional[str], overrides: Sequence[str]) -> Dict:
     return cfg
 
 
+def _config_number(cfg: Dict, dotted: str, kind=int):
+    """The config value at ``section.key`` as ``kind`` (int or float)."""
+    section, key = dotted.split(".")
+    value = cfg[section][key]
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {dotted} must be a number ({kind.__name__}), got {value!r}") from exc
+
+
 def _generation_config(cfg: Dict) -> runner.GenerationConfig:
-    codec = cfg["codec"]
     return runner.GenerationConfig(
-        min_len=int(codec["min_len"]),
-        max_len=int(codec["max_len"]),
-        max_tokens=int(codec["max_tokens"]),
-        max_sentences=int(codec["max_sentences"]),
-        sample_seed=int(cfg["seeds"]["sample"]),
-        pad_seed=int(cfg["seeds"]["pad"]),
+        min_len=_config_number(cfg, "codec.min_len"),
+        max_len=_config_number(cfg, "codec.max_len"),
+        max_tokens=_config_number(cfg, "codec.max_tokens"),
+        max_sentences=_config_number(cfg, "codec.max_sentences"),
+        sample_seed=_config_number(cfg, "seeds.sample"),
+        pad_seed=_config_number(cfg, "seeds.pad"),
     )
 
 
 def _codec_from_config(spec: Dict, cfg: Dict, vocab_size: int):
     params = {k: v for k, v in spec.items() if k != "method"}
     params.setdefault("partition_seed", cfg["seeds"]["partition"])
-    return baselines.make_codec(spec["method"], vocab_size, **params)
+    try:
+        return baselines.make_codec(spec["method"], vocab_size, **params)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"codec config {json.dumps(spec, sort_keys=True)} is invalid: {exc!r}") from exc
+
+
+def _load_vocab(path: str) -> corpus.Vocabulary:
+    try:
+        return corpus.Vocabulary.load(path)
+    except ValueError as exc:
+        raise ConfigError(f"--vocab {path} is not a vocabulary file: {exc}") from exc
 
 
 def _load_model(model_path: str, vocab_path: str):
-    vocab = corpus.Vocabulary.load(vocab_path)
+    vocab = _load_vocab(vocab_path)
     model = lm.NGramLM.load(model_path, vocab)
     return model, vocab
 
 
 def cmd_preprocess(args, cfg: Dict) -> None:
-    pp = cfg["preprocess"]
     with open(args.input, encoding="utf-8") as fh:
         raw = fh.read()
     sentences = corpus.preprocess(
         raw,
         corpus.PreprocessConfig(
-            min_len=int(pp["min_len"]),
-            max_len=int(pp["max_len"]),
-            docs_per_line=bool(pp["docs_per_line"]),
+            min_len=_config_number(cfg, "preprocess.min_len"),
+            max_len=_config_number(cfg, "preprocess.max_len"),
+            docs_per_line=bool(cfg["preprocess"]["docs_per_line"]),
         ),
     )
-    vocab = corpus.build_vocab(sentences, min_count=int(pp["min_count"]))
-    train, test = corpus.split(sentences, float(pp["split_ratio"]), int(cfg["seeds"]["split"]))
+    vocab = corpus.build_vocab(sentences, min_count=_config_number(cfg, "preprocess.min_count"))
+    train, test = corpus.split(sentences, _config_number(cfg, "preprocess.split_ratio", float),
+                               _config_number(cfg, "seeds.split"))
     corpus.write_corpus(args.out_train, train)
     corpus.write_corpus(args.out_test, test)
     vocab.save(args.out_vocab)
@@ -157,9 +176,9 @@ def cmd_preprocess(args, cfg: Dict) -> None:
 
 
 def cmd_train(args, cfg: Dict) -> None:
-    vocab = corpus.Vocabulary.load(args.vocab)
+    vocab = _load_vocab(args.vocab)
     sentences = [vocab.encode_sentence(s) for s in corpus.read_corpus(args.corpus)]
-    model = lm.train_ngram(sentences, int(cfg["lm"]["order"]), float(cfg["lm"]["k"]), vocab)
+    model = lm.train_ngram(sentences, _config_number(cfg, "lm.order"), _config_number(cfg, "lm.k", float), vocab)
     model.save(args.out)
     log.info("trained order-%d model over %d sentences", model.order, len(sentences))
 
@@ -200,8 +219,10 @@ def cmd_extract(args, cfg: Dict) -> None:
             sentences.append([vocab.encode_token_strict(t) for t in surface])
         except KeyError as exc:
             raise DesyncError(f"stegotext token {exc.args[0]!r} not in the vocabulary") from exc
-    bits = runner.extract_text(codec, sentences, model, _generation_config(cfg))
-    payload = bits_to_bytes(deframe(bits))
+    payload_bits = deframe(runner.extract_text(codec, sentences, model, _generation_config(cfg)))
+    if len(payload_bits) % 8:
+        raise DesyncError(f"the frame holds {len(payload_bits)} payload bits, not a whole number of bytes")
+    payload = bits_to_bytes(payload_bits)
     if args.hex_out:
         print(payload.hex())
     else:
@@ -211,34 +232,35 @@ def cmd_extract(args, cfg: Dict) -> None:
 
 
 def _bench_cell(model, vocab, cfg: Dict, spec: Dict, cover: List[List[str]]):
-    bench = cfg["bench"]
-    seeds = cfg["seeds"]
+    n_sentences = _config_number(cfg, "bench.n_sentences")
+    payload_bits = _config_number(cfg, "bench.payload_bits")
     gen_cfg = _generation_config(cfg)
     gen_cfg.collect_stats = True
+    sample_seed, pad_seed = gen_cfg.sample_seed, gen_cfg.pad_seed
     cell_key = json.dumps(spec, sort_keys=True)
-    digest = hashlib.sha256(f"{seeds['payload']}:{cell_key}".encode("utf-8")).digest()
+    digest = hashlib.sha256(f"{cfg['seeds']['payload']}:{cell_key}".encode("utf-8")).digest()
     payload_rng = random.Random(int.from_bytes(digest[:8], "big"))
     codec = _codec_from_config(spec, cfg, len(vocab))
     provider = runner.CachedProvider(model)
     traces, stego_sentences = [], []
     message_index = 0
-    while len(stego_sentences) < int(bench["n_sentences"]):
+    while len(stego_sentences) < n_sentences:
         payload = bytes(
-            payload_rng.getrandbits(8) for _ in range(int(bench["payload_bits"]) // 8)
+            payload_rng.getrandbits(8) for _ in range(payload_bits // 8)
         )
-        gen_cfg.sample_seed = int(seeds["sample"]) + message_index
-        gen_cfg.pad_seed = int(seeds["pad"]) + message_index
+        gen_cfg.sample_seed = sample_seed + message_index
+        gen_cfg.pad_seed = pad_seed + message_index
         sentences, trace = runner.embed_text(codec, frame(payload), provider, gen_cfg)
         traces.append(trace)
         stego_sentences.extend(vocab.decode(s) for s in sentences)
         message_index += 1
-    stego_sentences = stego_sentences[: int(bench["n_sentences"])]
+    stego_sentences = stego_sentences[:n_sentences]
     report = metrics.report_from_traces(
         traces,
         stego_sentences=stego_sentences,
         cover_sentences=cover[: len(stego_sentences)],
-        vector_dim=int(bench["vector_dim"]),
-        vector_seed=int(seeds["vector"]),
+        vector_dim=_config_number(cfg, "bench.vector_dim"),
+        vector_seed=_config_number(cfg, "seeds.vector"),
     )
     return report
 
@@ -262,7 +284,7 @@ def _csv_text(name: str, value) -> str:
 def cmd_bench(args, cfg: Dict) -> None:
     model, vocab = _load_model(args.model, args.vocab)
     test_sentences = corpus.read_corpus(args.corpus)
-    cover_rng = random.Random(int(cfg["seeds"]["cover"]))
+    cover_rng = random.Random(_config_number(cfg, "seeds.cover"))
     cover = list(test_sentences)
     cover_rng.shuffle(cover)
     rows = []
@@ -292,8 +314,8 @@ def cmd_metrics(args, cfg: Dict) -> None:
         stego_sentences=stego,
         cover_sentences=cover[: len(stego)] if (cover and stego) else None,
         acc=args.acc,
-        vector_dim=int(cfg["bench"]["vector_dim"]),
-        vector_seed=int(cfg["seeds"]["vector"]),
+        vector_dim=_config_number(cfg, "bench.vector_dim"),
+        vector_seed=_config_number(cfg, "seeds.vector"),
     )
     text = json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2)
     if args.out:

@@ -24,19 +24,20 @@ VECTORIZER_ID = "hashed-bow-signed-projection-v1"
 SIGMA_FLOOR = 1e-6
 
 
-def embedding_rate(trace: EmbedTrace, payload_only: bool = False) -> float:
-    """Average bits carried per generated token.
+def embedding_rate(*traces: EmbedTrace, payload_only: bool = False) -> float:
+    """Average bits carried per generated token, pooled over ``traces``.
 
     By default the frame header and padding count as carried bits (the
-    rate is a codec property); ``payload_only`` discounts the framing
-    overhead instead.
+    rate is a codec property); ``payload_only`` counts at most each
+    trace's payload bits instead.
     """
-    if not trace.steps:
-        raise StegoError("cannot compute an embedding rate from an empty trace")
-    bits = trace.total_bits
+    if not any(t.steps for t in traces):
+        raise StegoError("cannot compute an embedding rate from traces without steps")
     if payload_only:
-        bits = min(bits, float(trace.payload_bits))
-    return bits / trace.total_tokens
+        bits = sum(min(t.total_bits, t.payload_bits) for t in traces)
+    else:
+        bits = sum(t.total_bits for t in traces)
+    return bits / sum(t.total_tokens for t in traces)
 
 
 def kl_divergence_bits(p: Sequence[float], q: Sequence[float]) -> float:
@@ -187,27 +188,24 @@ def report_from_traces(
     traces = list(traces)
     if not traces:
         raise StegoError("no traces to report on")
-    bits = sum(t.total_bits for t in traces)
-    payload_bits = sum(min(t.total_bits, t.payload_bits) for t in traces)
-    tokens = sum(t.total_tokens for t in traces)
     divergence = kld1(*traces)
     kld2_value = None
     if stego_sentences is not None and cover_sentences is not None:
         cover_v = [sentence_vector(s, vector_dim, vector_seed) for s in cover_sentences]
         stego_v = [sentence_vector(s, vector_dim, vector_seed) for s in stego_sentences]
         kld2_value = kld2(cover_v, stego_v)
-    er_value = bits / tokens
+    er_value = embedding_rate(*traces)
     return MetricReport(
         method=traces[0].method,
         params=traces[0].params,
         er=er_value,
-        er_payload_only=payload_bits / tokens,
+        er_payload_only=embedding_rate(*traces, payload_only=True),
         kld1_qp=divergence.mean_qp,
         kld1_pq=divergence.mean_pq,
         kld2=kld2_value,
         eer=eer(acc, er_value) if acc is not None else None,
         entropy=_mean_entropy(traces),
         sentences=len(stego_sentences) if stego_sentences is not None else 0,
-        tokens=tokens,
+        tokens=sum(t.total_tokens for t in traces),
         vectorizer_seed=vector_seed,
     )

@@ -3,17 +3,32 @@
 It walks the greedy in mass-asc order with a union-find "next alive"
 index and one ``nearest()`` call per accepted token.  The tests check
 that :func:`adgstego.adg.equal_group` returns byte-identical groups.
+
+``implicit_q`` is the stack walk over 4-tuples that predates the merged
+grouping node, built on this module's ``equal_group`` and kept verbatim
+except that it neither reads nor fills ``dist.cache``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from adgstego.adg import Group
+from adgstego.adg import group_count
 from adgstego.errors import StegoError
+from adgstego.lm import ConditionalDistribution
+
+
+@dataclass
+class Group:
+    """One cell of a grouping; members keep the global mass-desc order."""
+
+    token_ids: np.ndarray
+    masses: np.ndarray
+    total_mass: int
 
 
 class _AliveIndex:
@@ -143,3 +158,33 @@ def equal_group(token_ids: Sequence[int], masses: Sequence[int], u: int) -> List
         g_masses = np.asarray([masses_asc[idx] for idx in members], dtype=np.int64)
         groups.append(Group(g_ids, g_masses, int(g_masses.sum())))
     return groups
+
+
+def implicit_q(dist: ConditionalDistribution) -> np.ndarray:
+    """The token distribution induced by uniform-bit embedding.
+
+    Returns probabilities aligned with ``dist.token_ids``: each recursion
+    level contributes a factor ``1/u`` for its group, and the final group
+    contributes the token's renormalized mass.
+    """
+    # Recursion over positions into dist (position order is mass desc with
+    # id-asc ties, so positions preserve the grouping tie-break order and
+    # can stand in for token ids).
+    q = np.zeros(len(dist), dtype=np.float64)
+    n = len(dist)
+    stack: List[Tuple[np.ndarray, np.ndarray, int, float]] = [
+        (np.arange(n, dtype=np.int64), dist.masses, dist.denominator, 1.0)
+    ]
+    while stack:
+        pos, m, total, scale = stack.pop()
+        u = group_count(int(m[0]), total)
+        if u < 2:
+            q[pos] += scale * (m.astype(np.float64) / total)
+        elif u == len(pos):
+            # All groups are singletons, each reached with probability 1/u.
+            q[pos] += scale / u
+        else:
+            child_scale = scale / u
+            for g in equal_group(pos, m, u):
+                stack.append((g.token_ids, g.masses, g.total_mass, child_scale))
+    return q

@@ -1,12 +1,15 @@
 """End-to-end command-line pipeline on the bundled corpus."""
 
 import json
+import logging
 import subprocess
 import sys
 
 import pytest
 
-from adgstego.cli import DEFAULT_CONFIG, load_config, main
+from adgstego import embed_text, frame, make_codec
+from adgstego.cli import DEFAULT_CONFIG, _generation_config, _load_model, load_config, main
+from adgstego.corpus import write_corpus
 from adgstego.errors import ConfigError
 
 from conftest import CLI_ENV
@@ -214,3 +217,57 @@ def test_metrics_on_malformed_trace_exits_nonzero(tmp_path, text):
     path = tmp_path / "trace.ndjson"
     path.write_text(text)
     assert main(["metrics", "--trace", str(path)]) == 1
+
+
+def _embed_argv(workdir, tmp_path):
+    return [
+        "embed",
+        "--model", str(workdir / "model.json"),
+        "--vocab", str(workdir / "vocab.tsv"),
+        "--hex", "aabb",
+        "--out-stego", str(tmp_path / "stego.txt"),
+    ]
+
+
+def _ragged_frame_extract_argv(workdir, tmp_path):
+    # A frame holding 12 payload bits, embedded with the default config.
+    model, vocab = _load_model(str(workdir / "model.json"), str(workdir / "vocab.tsv"))
+    sentences, _ = embed_text(make_codec("adg", len(vocab)), frame([1, 0] * 6), model,
+                              _generation_config(load_config(None, [])))
+    write_corpus(str(tmp_path / "stego.txt"), (vocab.decode(s) for s in sentences))
+    return [
+        "extract",
+        "--model", str(workdir / "model.json"),
+        "--vocab", str(workdir / "vocab.tsv"),
+        "--stego", str(tmp_path / "stego.txt"),
+        "--hex-out",
+    ]
+
+
+def _vocab_without_reserved_ids_argv(workdir, tmp_path):
+    (tmp_path / "vocab.tsv").write_text("0\tword\t12\n1\tother\t11\n")
+    argv = _embed_argv(workdir, tmp_path)
+    argv[argv.index("--vocab") + 1] = str(tmp_path / "vocab.tsv")
+    return argv
+
+
+@pytest.mark.parametrize(
+    "build_argv",
+    [
+        _ragged_frame_extract_argv,
+        lambda w, t: ["--set", "codec.method=nope"] + _embed_argv(w, t),
+        lambda w, t: ["--set", "codec.method=bins", "--set", "codec.b=0"] + _embed_argv(w, t),
+        lambda w, t: ["--set", "codec.min_len=abc"] + _embed_argv(w, t),
+        _vocab_without_reserved_ids_argv,
+        lambda w, t: ["--set", "lm.order=abc", "train", "--corpus", str(w / "train.txt"),
+                      "--vocab", str(w / "vocab.tsv"), "--out", str(t / "model.json")],
+    ],
+    ids=["ragged-frame", "unknown-method", "bins-b-zero", "min-len-not-int", "vocab-without-reserved-ids",
+         "lm-order-not-int"],
+)
+def test_bad_input_exits_with_one_error_line(workdir, tmp_path, caplog, build_argv):
+    argv = build_argv(workdir, tmp_path)
+    caplog.clear()
+    assert main(argv) == 1
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and errors[0].exc_info is None

@@ -1,4 +1,4 @@
-"""The run-settling ``equal_group`` against the frozen one-step oracle, and extraction by position."""
+"""The run-settling ``equal_group`` and ``implicit_q`` against the frozen oracles, and extraction by position."""
 
 import random
 
@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adgstego import BitMessage, embed_step, equal_group, extract_step, group_count
+from adgstego import BitMessage, embed_step, equal_group, extract_step, group_count, implicit_q
 from adgstego.adg import _tree
 from adgstego.bitio import index_to_bits
 from adgstego.errors import StegoError
 from adgstego.lm import ConditionalDistribution, quantize
 
 from oracle_grouping import equal_group as oracle_equal_group
+from oracle_grouping import implicit_q as oracle_implicit_q
 
 ZIPF_VOCAB = 50_257
 
@@ -124,5 +125,27 @@ def test_extract_recovers_every_token_along_the_embed_path():
         leaf = _tree(dist)
         for _u, index in levels:
             leaf = leaf.child(index)
-        assert dist.position_of(token) in leaf.positions.tolist()
+        assert dist.position_of(token) in leaf.token_ids.tolist()
         assert extract_step(dist, sampled) == bits
+
+
+def assert_implicit_q_identical(token_ids, masses):
+    dist = ConditionalDistribution.from_masses(token_ids, masses)
+    assert implicit_q(dist).tobytes() == oracle_implicit_q(dist).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(distributions(st.integers(1, 10**9)))
+def test_implicit_q_random_masses_against_oracle(dist):
+    assert_implicit_q_identical(*dist)
+
+
+@settings(max_examples=150, deadline=None)
+@given(distributions(st.integers(0, 6)), st.integers(1, 3))
+def test_implicit_q_add_k_style_ties_against_oracle(dist, k):
+    ids, counts = dist
+    assert_implicit_q_identical(ids, [2 * c + k for c in counts])
+
+
+def test_implicit_q_zipf50k_against_oracle(zipf50k):
+    assert implicit_q(zipf50k).tobytes() == oracle_implicit_q(zipf50k).tobytes()

@@ -89,6 +89,15 @@ def test_kld1_pools_the_steps_of_several_traces():
     assert kld1(a, b).mean_pq is None
 
 
+def test_embedding_rate_pools_several_traces():
+    a = make_trace([30, 30], payload_bits=16)  # payload-only caps this trace at 16 bits
+    b = make_trace([3, 3, 2, 0])
+    assert embedding_rate(a, b) == 68 / 6
+    assert embedding_rate(a, b, payload_only=True) == (16 + 8) / 6
+    with pytest.raises(StegoError):
+        embedding_rate(make_trace([]), make_trace([]))
+
+
 def test_sentence_vector_deterministic_unit_order_insensitive():
     a = sentence_vector(["the", "cat", "sat"], dim=64, seed=1)
     b = sentence_vector(["sat", "the", "cat"], dim=64, seed=1)
