@@ -261,14 +261,10 @@ class ArithmeticCodec(Codec):
         hit = dist.cache.get(key)
         if hit is None:
             top = min(self.h, len(dist))
-            masses = [int(m) for m in dist.masses[:top]]
-            cum = []
-            running = 0
-            for m in masses:
-                running += m
-                cum.append(running)
-            positions = {int(t): i for i, t in enumerate(dist.token_ids[:top])}
-            hit = (dist.token_ids[:top], masses, cum, running, positions)
+            ids = dist.token_ids[:top]
+            cum = np.cumsum(dist.masses[:top]).tolist()
+            positions = dict(zip(ids.tolist(), range(top)))
+            hit = (ids, dist.masses[:top].tolist(), cum, cum[-1] if cum else 0, positions)
             dist.cache[key] = hit
         return hit
 

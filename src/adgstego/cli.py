@@ -164,8 +164,11 @@ def cmd_preprocess(args, cfg: Dict) -> None:
         ),
     )
     vocab = corpus.build_vocab(sentences, min_count=_config_number(cfg, "preprocess.min_count"))
-    train, test = corpus.split(sentences, _config_number(cfg, "preprocess.split_ratio", float),
-                               _config_number(cfg, "seeds.split"))
+    ratio, seed = _config_number(cfg, "preprocess.split_ratio", float), _config_number(cfg, "seeds.split")
+    try:
+        train, test = corpus.split(sentences, ratio, seed)
+    except ValueError as exc:
+        raise ConfigError(f"config key preprocess.split_ratio: {exc}") from exc
     corpus.write_corpus(args.out_train, train)
     corpus.write_corpus(args.out_test, test)
     vocab.save(args.out_vocab)
@@ -178,7 +181,11 @@ def cmd_preprocess(args, cfg: Dict) -> None:
 def cmd_train(args, cfg: Dict) -> None:
     vocab = _load_vocab(args.vocab)
     sentences = [vocab.encode_sentence(s) for s in corpus.read_corpus(args.corpus)]
-    model = lm.train_ngram(sentences, _config_number(cfg, "lm.order"), _config_number(cfg, "lm.k", float), vocab)
+    order, k = _config_number(cfg, "lm.order"), _config_number(cfg, "lm.k", float)
+    try:
+        model = lm.train_ngram(sentences, order, k, vocab)
+    except ValueError as exc:
+        raise ConfigError(f"config keys lm.order/lm.k: {exc}") from exc
     model.save(args.out)
     log.info("trained order-%d model over %d sentences", model.order, len(sentences))
 

@@ -6,6 +6,14 @@ over a fixed denominator ``D = 2**31`` (largest-remainder method) and all
 downstream grouping logic compares integers only.  The float path exists
 solely upstream of quantization.
 
+Every step of building a distribution is linear or near-linear, because a
+neural-style provider hands over a fresh one per token.  ``quantize``
+finds the largest remainders by selection (``np.partition``), not by a
+sort.  ``ConditionalDistribution`` puts its entries in canonical order
+(mass desc, id asc) with one stable argsort, which is adaptive on the
+nearly sorted input providers give; the two-key sort runs only when a run
+of equal masses comes out of id order.
+
 Two sources are provided: a trainable add-k / backoff n-gram model, and a
 client for an external provider speaking newline-delimited JSON
 (``{"context": [ids]}`` -> ``{"ids": [...], "probs": [...]}``) over stdio
@@ -16,10 +24,11 @@ two endpoints never need to agree on float behavior.
 from __future__ import annotations
 
 import json
+import math
 import random
 import socket
 import subprocess
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,12 +61,19 @@ def quantize(probs: Sequence[float]) -> np.ndarray:
     scaled = (arr / total) * DENOMINATOR
     out = np.floor(scaled).astype(np.int64)
     deficit = DENOMINATOR - int(out.sum())
+    if not 0 <= deficit < arr.size:
+        raise QuantizationError(f"{deficit} leftover units for {arr.size} entries")
     if deficit:
         # Hand the leftover units to the largest fractional remainders;
-        # ties resolve to the lower index so both ends agree.
+        # ties resolve to the lower index so both ends agree.  Every
+        # remainder above the deficit-th largest gets a unit, then the
+        # lowest-index remainders equal to it fill the rest.
         remainders = scaled - out
-        order = np.lexsort((np.arange(arr.size), -remainders))
-        out[order[:deficit]] += 1
+        threshold = np.partition(remainders, arr.size - deficit)[arr.size - deficit]
+        above = remainders > threshold
+        out[above] += 1
+        fill = deficit - int(np.count_nonzero(above))
+        out[np.flatnonzero(remainders == threshold)[:fill]] += 1
 
     zero = out == 0
     if np.any(zero):
@@ -74,6 +90,12 @@ def quantize(probs: Sequence[float]) -> np.ndarray:
 class ConditionalDistribution:
     """Quantized next-token distribution, sorted by mass desc, ties by id asc.
 
+    The order comes from one stable argsort of the negated masses, which
+    keeps equal masses in input order and is close to linear on the nearly
+    sorted masses providers hand over.  One vectorised comparison checks
+    that every run of equal masses came out in id order; only when one did
+    not does the two-key sort run.
+
     ``cache`` is scratch space for codec-level derived structures (grouping
     trees, Huffman trees); it never leaves the process.
     """
@@ -81,12 +103,17 @@ class ConditionalDistribution:
     __slots__ = ("token_ids", "masses", "denominator", "cache", "_positions")
 
     def __init__(self, token_ids: np.ndarray, masses: np.ndarray, denominator: int = DENOMINATOR):
-        order = np.lexsort((token_ids, -masses))
-        self.token_ids = np.ascontiguousarray(token_ids[order], dtype=np.int64)
-        self.masses = np.ascontiguousarray(masses[order], dtype=np.int64)
+        order = np.argsort(-masses, kind="stable")
+        ids, m = token_ids[order], masses[order]
+        if np.any((m[1:] == m[:-1]) & (ids[1:] < ids[:-1])):
+            order = np.lexsort((token_ids, -masses))
+            ids, m = token_ids[order], masses[order]
+        self.token_ids = np.ascontiguousarray(ids, dtype=np.int64)
+        self.masses = np.ascontiguousarray(m, dtype=np.int64)
         self.denominator = denominator
         self.cache: Dict = {}
-        self._positions: Optional[Dict[int, int]] = None
+        # None until the first lookup, False after it, then the id->position map.
+        self._positions: Union[None, bool, Dict[int, int]] = None
         if self.masses.size and int(self.masses.min()) < 1:
             raise QuantizationError("zero-mass entries must not be stored")
         if int(self.masses.sum()) != denominator:
@@ -100,9 +127,20 @@ class ConditionalDistribution:
         return int(self.masses[0])
 
     def position_of(self, token_id: int) -> Optional[int]:
-        if self._positions is None:
-            self._positions = dict(zip(self.token_ids.tolist(), range(len(self))))
-        return self._positions.get(int(token_id))
+        """Position of ``token_id``, or None when it has no mass.
+
+        A cold distribution is asked once, so the first lookup scans the
+        ids; the map is built from the second lookup on.
+        """
+        positions = self._positions
+        if positions is None:
+            self._positions = False
+            hits = np.flatnonzero(self.token_ids == int(token_id))
+            # A repeated id answers with its last position, as the map does.
+            return int(hits[-1]) if hits.size else None
+        if positions is False:
+            positions = self._positions = dict(zip(self.token_ids.tolist(), range(len(self))))
+        return positions.get(int(token_id))
 
     def probs(self) -> np.ndarray:
         return self.masses / float(self.denominator)
@@ -243,8 +281,8 @@ def train_ngram(
     """Count n-grams over id sentences (each including BOS and EOS)."""
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
-    if k <= 0:
-        raise ValueError(f"smoothing constant must be positive, got {k}")
+    if not 0 < k < math.inf:
+        raise ValueError(f"smoothing constant must be positive and finite, got {k}")
     if not sentences:
         raise EmptyCorpusError("cannot train on an empty corpus")
 
@@ -321,16 +359,19 @@ class ExternalProvider:
             raise ProviderError("provider closed the stream")
         try:
             reply = json.loads(line)
-            ids = reply["ids"]
-            probs = reply["probs"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            # Ragged nesting raises ValueError.
+            ids = np.asarray(reply["ids"])
+            probs = np.asarray(reply["probs"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ProviderError(f"malformed provider reply: {line!r}") from exc
-        if len(ids) != len(probs) or not ids:
+        if ids.ndim != 1 or probs.shape != ids.shape or not ids.size:
             raise ProviderError("provider reply ids/probs mismatch")
-        arr = np.asarray(probs, dtype=np.float64)
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise ProviderError("provider reply contains non-finite or negative probabilities")
+        # A float, string or nested id gives numpy a non-integer dtype.
+        if ids.dtype.kind != "i" or np.any(ids < 0):
+            raise ProviderError("provider reply ids must be nonnegative integers")
+        if probs.dtype.kind not in "if" or not np.all(np.isfinite(probs)) or np.any(probs < 0):
+            raise ProviderError("provider reply probabilities must be finite nonnegative numbers")
         try:
-            return ConditionalDistribution.from_probs(ids, arr)
+            return ConditionalDistribution.from_probs(ids, probs)
         except QuantizationError as exc:
             raise ProviderError(f"provider reply is not a distribution: {exc}") from exc

@@ -66,7 +66,8 @@ def mask_eos_min(dist: ConditionalDistribution) -> ConditionalDistribution:
     Keeps the total mass exact so grouping stays well defined.  A no-op when
     EOS is absent or already at minimum mass.
     """
-    pos = dist.position_of(EOS_ID)
+    hits = np.flatnonzero(dist.token_ids == EOS_ID)
+    pos = int(hits[-1]) if hits.size else None
     if pos is None or int(dist.masses[pos]) <= 1:
         return dist
     masses = dist.masses.copy()
@@ -75,7 +76,8 @@ def mask_eos_min(dist: ConditionalDistribution) -> ConditionalDistribution:
     # First entry is the largest by sort order; step past it if it is EOS itself.
     target = 0 if pos != 0 else 1
     masses[target] += excess
-    return ConditionalDistribution(dist.token_ids.copy(), masses, dist.denominator)
+    # Only EOS leaves its place in the order, so re-sorting the result is close to linear.
+    return ConditionalDistribution(dist.token_ids, masses, dist.denominator)
 
 
 @dataclass

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from adgstego import embed_text, frame, make_codec
+from adgstego.bundled import toy_corpus_path
 from adgstego.cli import DEFAULT_CONFIG, _generation_config, _load_model, load_config, main
 from adgstego.corpus import write_corpus
 from adgstego.errors import ConfigError
@@ -244,6 +245,16 @@ def _ragged_frame_extract_argv(workdir, tmp_path):
     ]
 
 
+def _train_argv(workdir, tmp_path):
+    return ["train", "--corpus", str(workdir / "train.txt"), "--vocab", str(workdir / "vocab.tsv"),
+            "--out", str(tmp_path / "model.json")]
+
+
+def _preprocess_argv(tmp_path):
+    return ["preprocess", "--in", toy_corpus_path(), "--out-train", str(tmp_path / "train.txt"),
+            "--out-test", str(tmp_path / "test.txt"), "--out-vocab", str(tmp_path / "vocab.tsv")]
+
+
 def _vocab_without_reserved_ids_argv(workdir, tmp_path):
     (tmp_path / "vocab.tsv").write_text("0\tword\t12\n1\tother\t11\n")
     argv = _embed_argv(workdir, tmp_path)
@@ -259,11 +270,14 @@ def _vocab_without_reserved_ids_argv(workdir, tmp_path):
         lambda w, t: ["--set", "codec.method=bins", "--set", "codec.b=0"] + _embed_argv(w, t),
         lambda w, t: ["--set", "codec.min_len=abc"] + _embed_argv(w, t),
         _vocab_without_reserved_ids_argv,
-        lambda w, t: ["--set", "lm.order=abc", "train", "--corpus", str(w / "train.txt"),
-                      "--vocab", str(w / "vocab.tsv"), "--out", str(t / "model.json")],
+        lambda w, t: ["--set", "lm.order=abc"] + _train_argv(w, t),
+        lambda w, t: ["--set", "lm.order=1"] + _train_argv(w, t),
+        lambda w, t: ["--set", "lm.k=0"] + _train_argv(w, t),
+        lambda w, t: ["--set", "lm.k=nan"] + _train_argv(w, t),
+        lambda w, t: ["--set", "preprocess.split_ratio=1.5"] + _preprocess_argv(t),
     ],
     ids=["ragged-frame", "unknown-method", "bins-b-zero", "min-len-not-int", "vocab-without-reserved-ids",
-         "lm-order-not-int"],
+         "lm-order-not-int", "lm-order-one", "lm-k-zero", "lm-k-nan", "split-ratio-above-one"],
 )
 def test_bad_input_exits_with_one_error_line(workdir, tmp_path, caplog, build_argv):
     argv = build_argv(workdir, tmp_path)

@@ -1,5 +1,6 @@
 """Quantization, the n-gram model and the external provider protocol."""
 
+import io
 import math
 import random
 import sys
@@ -234,3 +235,25 @@ def test_external_provider_closed_stream():
             provider.next_distribution([BOS_ID])
     finally:
         provider.close()
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        '{"ids": [1.5, 7], "probs": [0.5, 0.5]}',
+        '{"ids": ["a", "b"], "probs": [0.5, 0.5]}',
+        '{"ids": [[1], [2]], "probs": [0.5, 0.5]}',
+        '{"ids": [[1], [2, 3]], "probs": [0.5, 0.5]}',
+        '{"ids": [1, 2], "probs": ["x", 0.5]}',
+        '{"ids": 5, "probs": [1.0]}',
+        '{"ids": [-1, 7], "probs": [0.5, 0.5]}',
+        '{"ids": [1, 2], "probs": [null, 0.5]}',
+        '{"ids": [99999999999999999999999, 2], "probs": [0.5, 0.5]}',
+    ],
+    ids=["float-id", "string-ids", "nested-ids", "ragged-ids", "string-prob", "scalar-ids", "negative-id",
+         "null-prob", "huge-id"],
+)
+def test_external_provider_rejects_bad_reply_values(reply):
+    provider = ExternalProvider(io.StringIO(reply + "\n"), io.StringIO())
+    with pytest.raises(ProviderError):
+        provider.next_distribution([BOS_ID])
