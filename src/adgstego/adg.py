@@ -15,11 +15,13 @@ The greedy walks the tokens in mass-desc order with id-asc ties, so the
 largest remaining token with the lowest id is simply the first alive
 index.  When even that token falls short of the gap, the nearest mass is
 the largest one and it fits; the step repeats while the alive run from
-the front lasts and its masses stay under the gap, so the whole run is
-settled by one bisect on prefix sums and killed by slice assignment.
-Only nearest-mass picks leave holes past the front, so a run ends at the
-next hole at the latest.  Groups are then read off a label array with
-one stable argsort.
+the front lasts and its masses stay under the gap, so one bisect on
+prefix sums settles the whole run and moving the front kills it.  Only
+nearest-mass picks leave holes past the front, so a run ends at the next
+hole at the latest, and union-find pointers over the holes alone skip
+them: a call's Python work follows the tokens it places in groups
+``0..u-2``, not its size.  A label array filled from the front's ranges
+and the holes gives the groups with one stable argsort.
 
 One node type, :class:`_Node`, is both a group that ``equal_group``
 returns and a level of the grouping tree: a node's own groups are its
@@ -30,12 +32,14 @@ Embedding selects a group per ``log2(u)`` message bits and recurses into
 it (pruning: only the selected group is ever regrouped) until the current
 group's renormalized maximum exceeds one half, then samples a token within
 the final group.  Extraction replays the recursion, at each level taking
-the group that holds the observed token's position.
+the group that holds the observed token, and carries the token's index
+among the node's members down the tree.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_left, bisect_right, insort
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -57,44 +61,14 @@ def group_count(p_max_mass: int, denominator: int) -> int:
     return 1 << ((denominator // p_max_mass).bit_length() - 1)
 
 
-class _AliveIndex:
-    """Union-find "next/previous alive" pointers over a static sorted array."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.nxt = list(range(n + 1))
-        self.prv = list(range(n))
-
-    def kill(self, i: int) -> None:
-        self.nxt[i] = i + 1
-        self.prv[i] = i - 1
-
-    def kill_run(self, start: int, stop: int) -> None:
-        """Kill every index in ``[start, stop)``."""
-        self.nxt[start:stop] = [stop] * (stop - start)
-        self.prv[start:stop] = [start - 1] * (stop - start)
-
-    def next_alive(self, i: int) -> int:
-        """First alive index >= i, or n."""
-        nxt = self.nxt
-        root = i
-        while root < self.n and nxt[root] != root:
-            root = nxt[root]
-        while i < self.n and nxt[i] != root:
-            nxt[i], i = root, nxt[i]
-        return root
-
-    def prev_alive(self, i: int) -> int:
-        """Last alive index <= i, or -1."""
-        if i < 0:
-            return -1
-        prv = self.prv
-        root = i
-        while root >= 0 and prv[root] != root:
-            root = prv[root]
-        while i >= 0 and prv[i] != root:
-            prv[i], i = root, prv[i]
-        return root
+def _skip(pointers: Dict[int, int], i: int) -> int:
+    """Follow ``pointers`` from ``i`` to the first index without one, compressing the path."""
+    root = i
+    while root in pointers:
+        root = pointers[root]
+    while i != root:
+        pointers[i], i = root, pointers[i]
+    return root
 
 
 def equal_group(token_ids: Sequence[int], masses: Sequence[int], u: int) -> List["_Node"]:
@@ -120,42 +94,43 @@ def equal_group(token_ids: Sequence[int], masses: Sequence[int], u: int) -> List
         # is >= the mean).
         return [_Node(ids[i : i + 1], m[i : i + 1], int(m[i])) for i in range(n)]
 
-    mass: List[int] = m.tolist()
-    neg: List[int] = (-m).tolist()  # ascending, for bisect
-    prefix: List[int] = [0] + np.cumsum(m).tolist()  # prefix[i] = sum(mass[:i])
-    alive = _AliveIndex(n)
-    holes: List[int] = []  # sorted; the only dead indices past the first alive one
-    labels = [u - 1] * n  # group of each index; whatever stays alive is the last group
+    # Typed buffers: copied in O(n) without making a Python int per element.
+    prefix = array("q", bytes(8))  # prefix[i] = sum(m[:i])
+    prefix.frombytes(m.cumsum().tobytes())
+    neg = array("q", (-m).tobytes())  # mass i is -neg[i]; ascending, for bisect
+    # The dead indices are [0, front) and the sorted holes.  Union-find
+    # pointers over the holes alone skip them: an index with no pointer is
+    # alive if it lies in [front, n).
+    holes: List[int] = []
+    nxt: Dict[int, int] = {}  # hole -> a later index
+    prv: Dict[int, int] = {}  # hole -> an earlier index
+    hole_group: Dict[int, int] = {}
+    stops: List[int] = []  # front after each group; group g holds [stops[g-1], stops[g]) but holes
 
     # The running mean is the exact rational remaining / slots; comparisons
     # against it cross-multiply by slots so everything stays in integers.
-    remaining = prefix[-1]
-    front = 0  # every index before it is dead
+    remaining = prefix[n]
+    front = 0
     for g in range(u - 1):
         slots = u - g
-        front = alive.next_alive(front)
+        front = _skip(nxt, front)
         if front >= n:
             raise StegoError("ran out of tokens while forming groups")
-        alive.kill(front)
-        labels[front] = g
-        gmass = mass[front]
+        gmass = -neg[front]  # the head: the largest alive token
+        front += 1
         while gmass * slots < remaining:
             # The gap is eps = eps_num / slots; a mass reaches it iff >= ceil(eps).
             eps_num = remaining - gmass * slots
             ceil_eps = -(-eps_num // slots)
-            front = alive.next_alive(front)
+            front = _skip(nxt, front)
             if front >= n:
                 break
-            if mass[front] * slots < eps_num:
+            if -neg[front] * slots < eps_num:
                 # No alive mass reaches the gap, so the nearest is the largest
                 # alive token, and it fits.  That repeats while the alive run
                 # from front lasts and its prefix sum stays under the gap.
-                h = bisect_right(holes, front)
-                stop = bisect_left(prefix, prefix[front] + ceil_eps) - 1
-                if h < len(holes):
-                    stop = min(stop, holes[h])
-                alive.kill_run(front, stop)
-                labels[front:stop] = [g] * (stop - front)
+                h = bisect_right(holes, front)  # the next hole, if any, ends the run
+                stop = min(bisect_left(prefix, prefix[front] + ceil_eps) - 1, *holes[h : h + 1], n)
                 gmass += prefix[stop] - prefix[front]
                 front = stop
                 continue
@@ -163,22 +138,28 @@ def equal_group(token_ids: Sequence[int], masses: Sequence[int], u: int) -> List
             # at or above it (which exists), each its lowest-id alive holder;
             # equidistant candidates resolve to the lower mass.
             k = bisect_right(neg, -ceil_eps)  # indices [0, k) reach the gap
-            cand = alive.next_alive(bisect_left(neg, neg[alive.prev_alive(k - 1)]))
-            below = alive.next_alive(k)
-            if below < n and 2 * eps_num <= (mass[below] + mass[cand]) * slots:
-                cand = below
-            if mass[cand] * slots >= 2 * eps_num:
+            cand = _skip(prv, k - 1)
+            cand_mass = -neg[cand]
+            if cand > front and neg[cand - 1] == neg[cand]:  # tied: find the lowest-id alive holder
+                cand = _skip(nxt, max(bisect_left(neg, neg[cand]), front))
+            below = _skip(nxt, k)
+            if below < n and 2 * eps_num <= (cand_mass - neg[below]) * slots:
+                cand, cand_mass = below, -neg[below]
+            if cand_mass * slots >= 2 * eps_num:
                 break
-            alive.kill(cand)
+            nxt[cand], prv[cand] = cand + 1, cand - 1
             insort(holes, cand)
-            labels[cand] = g
-            gmass += mass[cand]
+            hole_group[cand] = g
+            gmass += cand_mass
         remaining -= gmass
-    if alive.next_alive(front) >= n:
+        stops.append(front)
+    if _skip(nxt, front) >= n:
         raise StegoError("equal grouping left the final group empty")
 
     # Group members keep the mass-desc order: a stable sort by label.
-    label = np.asarray(labels, dtype=np.int64)
+    label = np.bincount(stops, minlength=n).cumsum()  # the number of stops at or below each index
+    if hole_group:
+        label[list(hole_group)] = list(hole_group.values())
     order = np.argsort(label, kind="stable")
     sizes = np.bincount(label, minlength=u)
     starts = np.cumsum(sizes) - sizes
@@ -195,19 +176,23 @@ class _Node:
 
     In the tree, ``token_ids`` holds positions into ``dist.token_ids``, not
     token ids: position order is mass desc with id-asc ties, so positions
-    keep the grouping tie-break order.  A node's grouping is computed on
-    first use and cached; its groups are its children, so repeated
-    embedding and extraction against one distribution share one tree.
+    keep the grouping tie-break order, and every node's members are sorted.
+    A node's grouping is computed on first use and cached; its groups are
+    its children, so repeated embedding and extraction against one
+    distribution share one tree.  Extraction also builds, once per node,
+    two int32 tables aligned with the members: each member's group and its
+    index inside that group.
     """
 
-    __slots__ = ("token_ids", "masses", "total_mass", "_groups", "_group_of", "_cumsum", "_member_ids")
+    __slots__ = ("token_ids", "masses", "total_mass", "_groups", "_group_of", "_index_in", "_cumsum", "_member_ids")
 
     def __init__(self, token_ids: np.ndarray, masses: np.ndarray, total_mass: int):
         self.token_ids = token_ids
         self.masses = masses
         self.total_mass = total_mass
         self._groups: Optional[List[_Node]] = None
-        self._group_of: Optional[Dict[int, int]] = None
+        self._group_of: Optional[array] = None
+        self._index_in: Optional[array] = None
         self._cumsum: Optional[np.ndarray] = None
         self._member_ids: Optional[np.ndarray] = None
 
@@ -223,11 +208,21 @@ class _Node:
     def child(self, index: int) -> "_Node":
         return self.groups()[index]
 
-    def locate(self, position: int) -> int:
-        """The index of the group holding ``position``."""
+    def locate(self, index: int) -> Tuple[int, int]:
+        """The group holding member ``index`` and the member's index inside that group."""
         if self._group_of is None:
-            self._group_of = {p: g for g, node in enumerate(self.groups()) for p in node.token_ids.tolist()}
-        return self._group_of[position]
+            groups = self.groups()
+            sizes = np.array([g.token_ids.size for g in groups], dtype=np.int32)
+            # Members are sorted positions, and so are each group's: a stable
+            # argsort of the groups laid end to end lists them in member order.
+            order = np.argsort(np.concatenate([g.token_ids for g in groups]), kind="stable")
+            starts = np.cumsum(sizes, dtype=np.int32) - sizes
+            group_of = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)
+            index_in = np.arange(order.size, dtype=np.int32) - np.repeat(starts, sizes)
+            # Typed int32 buffers: indexing one is quicker than ndarray.item.
+            self._group_of = array("i", group_of[order].tobytes())
+            self._index_in = array("i", index_in[order].tobytes())
+        return self._group_of[index], self._index_in[index]
 
     def sample(self, rng: random.Random, dist_token_ids: np.ndarray) -> int:
         """A token drawn in proportion to its mass; the node holds positions into ``dist_token_ids``."""
@@ -277,12 +272,13 @@ def extract_step(dist: ConditionalDistribution, observed_token: int) -> List[int
     if position is None:
         raise DesyncError(f"token {observed_token} absent from the shared distribution")
     node = _tree(dist)
+    member = position  # the root's members are all positions, in order
     bits: List[int] = []
     while True:
         u = node.u
         if u < 2:
             return bits
-        index = node.locate(position)
+        index, member = node.locate(member)
         bits.extend(index_to_bits(index, u.bit_length() - 1))
         node = node.child(index)
 

@@ -359,9 +359,11 @@ class ExternalProvider:
             raise ProviderError("provider closed the stream")
         try:
             reply = json.loads(line)
-            # Ragged nesting raises ValueError.
-            ids = np.asarray(reply["ids"])
-            probs = np.asarray(reply["probs"])
+            ids, probs = reply["ids"], reply["probs"]
+            # numpy would read a JSON boolean as 0 or 1; only a line naming one needs the type scan.
+            if ("true" in line or "false" in line) and bool in {*map(type, ids), *map(type, probs)}:
+                raise ProviderError("provider reply ids and probabilities must not be booleans")
+            ids, probs = np.asarray(ids), np.asarray(probs)  # ragged nesting raises ValueError
         except (KeyError, TypeError, ValueError) as exc:
             raise ProviderError(f"malformed provider reply: {line!r}") from exc
         if ids.ndim != 1 or probs.shape != ids.shape or not ids.size:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bitio import HEADER_BITS, BitMessage
 from .corpus import BOS_ID, EOS_ID
-from .errors import CapacityError, DesyncError
+from .errors import CapacityError, DesyncError, ProviderError
 from .lm import ConditionalDistribution
 
 
@@ -70,6 +70,8 @@ def mask_eos_min(dist: ConditionalDistribution) -> ConditionalDistribution:
     pos = int(hits[-1]) if hits.size else None
     if pos is None or int(dist.masses[pos]) <= 1:
         return dist
+    if len(dist) == 1:
+        raise ProviderError("the distribution holds only EOS, so EOS cannot be masked")
     masses = dist.masses.copy()
     excess = int(masses[pos]) - 1
     masses[pos] = 1

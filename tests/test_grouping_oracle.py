@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from adgstego import BitMessage, embed_step, equal_group, extract_step, group_count, implicit_q
 from adgstego.adg import _tree
 from adgstego.bitio import index_to_bits
+from adgstego.corpus import BOS_ID
 from adgstego.errors import StegoError
 from adgstego.lm import ConditionalDistribution, quantize
 
@@ -149,3 +150,43 @@ def test_implicit_q_add_k_style_ties_against_oracle(dist, k):
 
 def test_implicit_q_zipf50k_against_oracle(zipf50k):
     assert implicit_q(zipf50k).tobytes() == oracle_implicit_q(zipf50k).tobytes()
+
+
+def pareto_add_k(seed, n, alpha, k):
+    """Heavy-tailed counts, mostly 0 and 1, smoothed add-k style: few masses, long runs of ties."""
+    rng = np.random.default_rng(seed)
+    counts = np.floor(rng.pareto(alpha, n)).astype(np.int64)
+    return rng.permutation(10 * n)[:n], 2 * counts + k
+
+
+@pytest.mark.parametrize(
+    "seed, n, alpha, k",
+    [(1, 5_000, 1.2, 1), (2, 5_000, 0.9, 1), (1, 5_000, 2.0, 3), (2, 8_192, 1.2, 2), (3, 12_000, 1.2, 1)],
+)
+def test_tie_heavy_large_distributions_against_oracle(seed, n, alpha, k):
+    # Nearest-mass picks among tied masses take consecutive indices.  At u
+    # = 64 and 256 the holes form clusters of up to ~100 indices that the
+    # hole skip and the run cut must cross.
+    ids, masses = pareto_add_k(seed, n, alpha, k)
+    largest = 1 << (n.bit_length() - 1)
+    for u in sorted({2, 16, 64, 256, group_count(int(masses.max()), int(masses.sum())), largest}):
+        assert_identical(ids, masses, u)
+
+
+def assert_locate_matches_groups(node):
+    groups = node.groups()
+    members = node.token_ids.tolist()
+    for index, position in enumerate(members):
+        g, member = node.locate(index)
+        assert groups[g].token_ids[member] == position
+    assert sum(len(g.token_ids) for g in groups) == len(members)
+
+
+def test_locate_tables_agree_with_groups(model):
+    probs = np.arange(1, 4096, dtype=np.float64) ** -1.1
+    probs = np.concatenate(([0.05], 0.95 * probs / probs.sum()))
+    ids = np.random.default_rng(11).choice(ZIPF_VOCAB, size=4096, replace=False).astype(np.int64)
+    root = _tree(ConditionalDistribution(ids, quantize(probs)))
+    assert_locate_matches_groups(root)
+    assert_locate_matches_groups(max(root.groups(), key=lambda g: len(g.token_ids)))
+    assert_locate_matches_groups(_tree(model.next_distribution([BOS_ID])))

@@ -249,9 +249,11 @@ def test_external_provider_closed_stream():
         '{"ids": [-1, 7], "probs": [0.5, 0.5]}',
         '{"ids": [1, 2], "probs": [null, 0.5]}',
         '{"ids": [99999999999999999999999, 2], "probs": [0.5, 0.5]}',
+        '{"ids": [true, 2], "probs": [0.5, 0.5]}',
+        '{"ids": [1, 2], "probs": [true, 0.0]}',
     ],
     ids=["float-id", "string-ids", "nested-ids", "ragged-ids", "string-prob", "scalar-ids", "negative-id",
-         "null-prob", "huge-id"],
+         "null-prob", "huge-id", "bool-id", "bool-prob"],
 )
 def test_external_provider_rejects_bad_reply_values(reply):
     provider = ExternalProvider(io.StringIO(reply + "\n"), io.StringIO())

@@ -1,5 +1,6 @@
 """Generation loop: length constraints, capacity limits, traces, caching."""
 
+import io
 import random
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from adgstego import ADGCodec, CachedProvider, frame
 from adgstego.corpus import BOS_ID, EOS_ID
-from adgstego.errors import CapacityError, DesyncError
-from adgstego.lm import ConditionalDistribution
+from adgstego.errors import CapacityError, DesyncError, ProviderError
+from adgstego.lm import ConditionalDistribution, ExternalProvider
 from adgstego.runner import (
     EmbedTrace,
     GenerationConfig,
@@ -32,6 +33,14 @@ def test_mask_eos_min_moves_excess_to_largest():
 def test_mask_eos_min_noop_without_eos():
     dist = ConditionalDistribution.from_masses([7, 8], [60, 40])
     assert mask_eos_min(dist) is dist
+
+
+def test_mask_eos_min_rejects_eos_only_distribution():
+    # Every step before min_len asks for the masked distribution.
+    reply = '{"ids": [%d], "probs": [1.0]}\n' % EOS_ID
+    cached = CachedProvider(ExternalProvider(io.StringIO(reply), io.StringIO()))
+    with pytest.raises(ProviderError):
+        cached.get((BOS_ID,), mask_eos=True)
 
 
 def test_min_len_suppresses_early_eos(provider):
