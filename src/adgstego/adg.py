@@ -130,7 +130,7 @@ def equal_group(token_ids: Sequence[int], masses: Sequence[int], u: int) -> List
                 # alive token, and it fits.  That repeats while the alive run
                 # from front lasts and its prefix sum stays under the gap.
                 h = bisect_right(holes, front)  # the next hole, if any, ends the run
-                stop = min(bisect_left(prefix, prefix[front] + ceil_eps) - 1, *holes[h : h + 1], n)
+                stop = min([bisect_left(prefix, prefix[front] + ceil_eps) - 1, *holes[h : h + 1]])
                 gmass += prefix[stop] - prefix[front]
                 front = stop
                 continue
@@ -213,8 +213,8 @@ class _Node:
         if self._group_of is None:
             groups = self.groups()
             sizes = np.array([g.token_ids.size for g in groups], dtype=np.int32)
-            # Members are sorted positions, and so are each group's: a stable
-            # argsort of the groups laid end to end lists them in member order.
+            # Member positions are sorted and unique, as are each group's: any argsort of the
+            # groups laid end to end gives member order, and the stable kind merges them fastest.
             order = np.argsort(np.concatenate([g.token_ids for g in groups]), kind="stable")
             starts = np.cumsum(sizes, dtype=np.int32) - sizes
             group_of = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)

@@ -360,8 +360,8 @@ class ExternalProvider:
         try:
             reply = json.loads(line)
             ids, probs = reply["ids"], reply["probs"]
-            # numpy would read a JSON boolean as 0 or 1; only a line naming one needs the type scan.
-            if ("true" in line or "false" in line) and bool in {*map(type, ids), *map(type, probs)}:
+            # numpy would read a JSON boolean as 0 or 1.
+            if bool in {*map(type, ids), *map(type, probs)}:
                 raise ProviderError("provider reply ids and probabilities must not be booleans")
             ids, probs = np.asarray(ids), np.asarray(probs)  # ragged nesting raises ValueError
         except (KeyError, TypeError, ValueError) as exc:
