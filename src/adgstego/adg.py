@@ -19,14 +19,24 @@ the front lasts and its masses stay under the gap, so one bisect on
 prefix sums settles the whole run and moving the front kills it.  Only
 nearest-mass picks leave holes past the front, so a run ends at the next
 hole at the latest, and union-find pointers over the holes alone skip
-them: a call's Python work follows the tokens it places in groups
-``0..u-2``, not its size.  A label array filled from the front's ranges
-and the holes gives the groups with one stable argsort.
+them: the Python work follows the tokens placed in groups ``0..u-2``, not
+the number of tokens.
+
+The greedy is resumable.  It runs as one generator per node, paused after
+each group, and a node forms groups only as far as a request needs:
+embedding stops after the selected group, extraction once the observed
+token is placed, so neither forms the groups past the one it recurses
+into.  Group ``g`` is the front's range ``[stops[g-1], stops[g])``
+without its holes, plus the holes ``g`` picked.  Running the greedy to
+the end (``_Node.groups``, which ``equal_group`` and ``implicit_q`` use)
+builds every group at once from a label array filled from the stops and
+the hole labels, with one stable argsort.
 
 One node type, :class:`_Node`, is both a group that ``equal_group``
 returns and a level of the grouping tree: a node's own groups are its
-children.  The tree groups a distribution's positions, not its token ids,
-so a token's position is the same at every level.
+children.  The tree groups a distribution's positions, not its token ids:
+positions are already in grouping order, so no level sorts, and a token's
+position is the same at every level.
 
 Embedding selects a group per ``log2(u)`` message bits and recurses into
 it (pruning: only the selected group is ever regrouped) until the current
@@ -84,16 +94,23 @@ def equal_group(token_ids: Sequence[int], masses: Sequence[int], u: int) -> List
     m = np.asarray(masses, dtype=np.int64)
     n = int(ids.size)
     if u == 1:
-        return [_Node(ids.copy(), m.copy(), int(m.sum()))]
+        return [_Node(ids.copy(), m.copy(), int(m.sum()), 1)]
     if u > n:
         raise StegoError(f"cannot form {u} groups from {n} tokens")
     desc = np.lexsort((ids, -m))  # mass desc, then id asc
-    ids, m = ids[desc], m[desc]
-    if u == n:
-        # Every group is a singleton; the top-up loop never fires (the max
-        # is >= the mean).
-        return [_Node(ids[i : i + 1], m[i : i + 1], int(m[i])) for i in range(n)]
+    return _Node(ids[desc], m[desc], int(m.sum()), u).groups()
 
+
+def _greedy(m: np.ndarray, u: int, stops: List[int], totals: List[int], holes: List[int], owner: Dict[int, int]):
+    """Equal grouping's greedy over the mass-desc masses ``m``, paused after each group.
+
+    Group g ends with ``stops[g]`` (the front) and ``totals[g]``; the last
+    group's stop is ``n``.  A nearest-mass pick goes into the sorted
+    ``holes`` and into ``owner`` (hole -> group).  The generator yields
+    after each of groups ``0..u-2`` and returns once the last group is
+    recorded, which frees its buffers.
+    """
+    n = m.size
     # Typed buffers: copied in O(n) without making a Python int per element.
     prefix = array("q", bytes(8))  # prefix[i] = sum(m[:i])
     prefix.frombytes(m.cumsum().tobytes())
@@ -101,11 +118,8 @@ def equal_group(token_ids: Sequence[int], masses: Sequence[int], u: int) -> List
     # The dead indices are [0, front) and the sorted holes.  Union-find
     # pointers over the holes alone skip them: an index with no pointer is
     # alive if it lies in [front, n).
-    holes: List[int] = []
     nxt: Dict[int, int] = {}  # hole -> a later index
     prv: Dict[int, int] = {}  # hole -> an earlier index
-    hole_group: Dict[int, int] = {}
-    stops: List[int] = []  # front after each group; group g holds [stops[g-1], stops[g]) but holes
 
     # The running mean is the exact rational remaining / slots; comparisons
     # against it cross-multiply by slots so everything stays in integers.
@@ -149,26 +163,16 @@ def equal_group(token_ids: Sequence[int], masses: Sequence[int], u: int) -> List
                 break
             nxt[cand], prv[cand] = cand + 1, cand - 1
             insort(holes, cand)
-            hole_group[cand] = g
+            owner[cand] = g
             gmass += cand_mass
         remaining -= gmass
         stops.append(front)
+        totals.append(gmass)
+        yield
     if _skip(nxt, front) >= n:
         raise StegoError("equal grouping left the final group empty")
-
-    # Group members keep the mass-desc order: a stable sort by label.
-    label = np.bincount(stops, minlength=n).cumsum()  # the number of stops at or below each index
-    if hole_group:
-        label[list(hole_group)] = list(hole_group.values())
-    order = np.argsort(label, kind="stable")
-    sizes = np.bincount(label, minlength=u)
-    starts = np.cumsum(sizes) - sizes
-    g_ids, g_masses = ids[order], m[order]
-    totals = np.add.reduceat(g_masses, starts)
-    return [
-        _Node(g_ids[s : s + k], g_masses[s : s + k], t)
-        for s, k, t in zip(starts.tolist(), sizes.tolist(), totals.tolist())
-    ]
+    stops.append(n)
+    totals.append(remaining)
 
 
 class _Node:
@@ -177,52 +181,117 @@ class _Node:
     In the tree, ``token_ids`` holds positions into ``dist.token_ids``, not
     token ids: position order is mass desc with id-asc ties, so positions
     keep the grouping tie-break order, and every node's members are sorted.
-    A node's grouping is computed on first use and cached; its groups are
-    its children, so repeated embedding and extraction against one
-    distribution share one tree.  Extraction also builds, once per node,
-    two int32 tables aligned with the members: each member's group and its
-    index inside that group.
+    ``u`` is the number of groups the members split into.
+
+    A node's grouping is resumable: a suspended :func:`_greedy` forms one
+    group at a time, only as far as a request needs.  ``child(g)`` forms
+    groups up to ``g`` and builds that group's node alone; ``locate(i)``
+    forms groups until member ``i`` is placed; ``groups()`` runs the greedy
+    to the end and builds every child.  Children are cached, so repeated
+    embedding and extraction against one distribution share one tree.
+    Once the greedy ends its typed buffers and union-find pointers are
+    freed; the stops and hole labels stay to answer ``locate``.  Each
+    answer is memoized in two int32 tables aligned with the members (the
+    member's group and its index inside that group), so a repeated lookup
+    is one array read.
     """
 
-    __slots__ = ("token_ids", "masses", "total_mass", "_groups", "_group_of", "_index_in", "_cumsum", "_member_ids")
+    __slots__ = ("token_ids", "masses", "total_mass", "u", "_children", "_greedy", "_stops", "_totals",
+                 "_holes", "_owner", "_group_of", "_index_in", "_cumsum", "_member_ids")
 
-    def __init__(self, token_ids: np.ndarray, masses: np.ndarray, total_mass: int):
+    def __init__(self, token_ids: np.ndarray, masses: np.ndarray, total_mass: int, u: Optional[int] = None):
         self.token_ids = token_ids
         self.masses = masses
         self.total_mass = total_mass
-        self._groups: Optional[List[_Node]] = None
+        if u is None:
+            # Members are in mass-desc order, so the first mass is the largest.
+            u = group_count(int(masses[0]), total_mass) if total_mass else 1
+        self.u = u
+        self._children: Dict[int, _Node] = {}
         self._group_of: Optional[array] = None
         self._index_in: Optional[array] = None
         self._cumsum: Optional[np.ndarray] = None
         self._member_ids: Optional[np.ndarray] = None
+        if self.u > 1:
+            self._stops: List[int] = []
+            self._totals: List[int] = []
+            self._holes: List[int] = []
+            self._owner: Dict[int, int] = {}
+            self._greedy = _greedy(masses, self.u, self._stops, self._totals, self._holes, self._owner)
 
-    @property
-    def u(self) -> int:
-        return group_count(int(self.masses[0]), self.total_mass)
+    def _form(self, g: int) -> None:
+        """Run the greedy until group ``g`` is formed."""
+        stops = self._stops
+        if len(stops) <= g:
+            for _ in self._greedy:
+                if len(stops) > g:
+                    break
 
     def groups(self) -> List["_Node"]:
-        if self._groups is None:
-            self._groups = equal_group(self.token_ids, self.masses, self.u)
-        return self._groups
+        u, children = self.u, self._children
+        if len(children) < u:
+            self._form(u - 1)
+            # Group members keep the mass-desc order: a stable sort by label.
+            n = len(self.token_ids)
+            label = np.bincount(self._stops[:-1], minlength=n).cumsum()  # the number of stops at or below each index
+            if self._owner:
+                label[list(self._owner)] = list(self._owner.values())
+            order = np.argsort(label, kind="stable")
+            g_ids, g_masses = self.token_ids[order], self.masses[order]
+            ends = np.bincount(label, minlength=u).cumsum().tolist()
+            for g, (s, e, t) in enumerate(zip([0, *ends], ends, self._totals)):
+                if g not in children:
+                    children[g] = _Node(g_ids[s:e], g_masses[s:e], t)
+        return [children[g] for g in range(u)]
 
-    def child(self, index: int) -> "_Node":
-        return self.groups()[index]
+    def child(self, g: int) -> "_Node":
+        node = self._children.get(g)
+        if node is None:
+            self._form(g)
+            stops, holes, owner = self._stops, self._holes, self._owner
+            lo, hi = stops[g - 1] if g else 0, stops[g]
+            # Group g is [lo, hi) without the holes there, plus the holes it picked (all past lo).
+            a = bisect_left(holes, lo)
+            gaps = holes[a : bisect_left(holes, hi)]
+            own = [h for h in holes[a:] if owner[h] == g]
+            if gaps or own:
+                keep = np.ones(hi - lo, dtype=bool)
+                keep[np.asarray(gaps, dtype=np.int64) - lo] = False
+                index = np.flatnonzero(keep) + lo
+                if own:
+                    index = np.sort(np.concatenate((index, own)))
+            else:
+                index = slice(lo, hi)
+            node = self._children[g] = _Node(self.token_ids[index], self.masses[index], self._totals[g])
+        return node
 
-    def locate(self, index: int) -> Tuple[int, int]:
-        """The group holding member ``index`` and the member's index inside that group."""
-        if self._group_of is None:
-            groups = self.groups()
-            sizes = np.array([g.token_ids.size for g in groups], dtype=np.int32)
-            # Member positions are sorted and unique, as are each group's: any argsort of the
-            # groups laid end to end gives member order, and the stable kind merges them fastest.
-            order = np.argsort(np.concatenate([g.token_ids for g in groups]), kind="stable")
-            starts = np.cumsum(sizes, dtype=np.int32) - sizes
-            group_of = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)
-            index_in = np.arange(order.size, dtype=np.int32) - np.repeat(starts, sizes)
-            # Typed int32 buffers: indexing one is quicker than ndarray.item.
-            self._group_of = array("i", group_of[order].tobytes())
-            self._index_in = array("i", index_in[order].tobytes())
-        return self._group_of[index], self._index_in[index]
+    def locate(self, i: int) -> Tuple[int, int]:
+        """The group holding member ``i`` and the member's index inside that group."""
+        group_of = self._group_of
+        if group_of is None:
+            n = len(self.token_ids)
+            group_of = self._group_of = array("i", [-1]) * n
+            self._index_in = array("i", bytes(4 * n))
+        g = group_of[i]
+        if g >= 0:
+            return g, self._index_in[i]
+        stops, holes, owner = self._stops, self._holes, self._owner
+        # Member i is placed once it lies below the front or is a hole.
+        if i not in owner and (not stops or i >= stops[-1]):
+            for _ in self._greedy:
+                if i in owner or i < stops[-1]:
+                    break
+        g = owner.get(i)
+        if g is None:
+            g = bisect_right(stops, i)
+        # The members of group g below i: [lo, min(i, hi)) without its holes, and g's holes below i.
+        lo = stops[g - 1] if g else 0
+        a = bisect_left(holes, lo)
+        x = min(i, stops[g])
+        k = x - lo - bisect_left(holes, x) + a + sum(owner[h] == g for h in holes[a : bisect_left(holes, i)])
+        group_of[i] = g
+        self._index_in[i] = k
+        return g, k
 
     def sample(self, rng: random.Random, dist_token_ids: np.ndarray) -> int:
         """A token drawn in proportion to its mass; the node holds positions into ``dist_token_ids``."""
@@ -293,23 +362,32 @@ def implicit_q(dist: ConditionalDistribution) -> np.ndarray:
     cached = dist.cache.get("adg_q")
     if cached is not None:
         return cached
-    # Its own walk over the tree's node type.  It calls equal_group directly,
-    # so the tree caches only what embedding and extraction built: walking
-    # the cached tree instead kept ~20x the memory alive and ran slower.
+    # Its own walk over the tree's node type, from a fresh root, so the tree
+    # caches only what embedding and extraction built: walking the cached
+    # tree instead kept ~20x the memory alive and ran slower.  Positions are
+    # already in grouping order, so the nodes group them without a sort.
     q = np.zeros(len(dist), dtype=np.float64)
     root = _Node(np.arange(len(dist), dtype=np.int64), dist.masses, dist.denominator)
     stack: List[Tuple[_Node, float]] = [(root, 1.0)]
+    leaves: List[Tuple[_Node, float]] = []
     while stack:
         node, scale = stack.pop()
         u = node.u
         if u < 2:
-            q[node.token_ids] += scale * (node.masses.astype(np.float64) / node.total_mass)
+            leaves.append((node, scale))
         elif u == len(node.token_ids):
             # All groups are singletons, each reached with probability 1/u.
             q[node.token_ids] += scale / u
         else:
             child_scale = scale / u
-            stack.extend((g, child_scale) for g in equal_group(node.token_ids, node.masses, u))
+            stack.extend((g, child_scale) for g in node.groups())
+    if leaves:
+        # Each position sits in one leaf; all leaves take the same float steps at once.
+        sizes = [len(node.token_ids) for node, _ in leaves]
+        masses = np.concatenate([node.masses for node, _ in leaves]).astype(np.float64)
+        totals = np.repeat([node.total_mass for node, _ in leaves], sizes)
+        scales = np.repeat([scale for _, scale in leaves], sizes)
+        q[np.concatenate([node.token_ids for node, _ in leaves])] = scales * (masses / totals)
     dist.cache["adg_q"] = q
     return q
 

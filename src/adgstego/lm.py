@@ -25,9 +25,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import selectors
 import socket
 import subprocess
+import time
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -313,11 +316,44 @@ def train_ngram(
     return NGramLM(order, k, v, vocab.content_hash(), unigrams, tables)
 
 
+class _PipeReader:
+    """Reply lines from a pipe, each awaited for at most ``timeout`` seconds."""
+
+    def __init__(self, pipe, timeout: float):
+        self._fd = pipe.fileno()
+        self._timeout = timeout
+        self._buffer = bytearray()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._fd, selectors.EVENT_READ)
+
+    def readline(self) -> str:
+        buffer = self._buffer
+        deadline = time.monotonic() + self._timeout
+        searched = 0
+        while (end := buffer.find(b"\n", searched)) < 0:
+            searched = len(buffer)
+            if not self._selector.select(deadline - time.monotonic()):
+                raise ProviderError(f"provider sent no reply line within {self._timeout} s")
+            chunk = os.read(self._fd, 1 << 16)
+            if not chunk:  # end of stream: hand back what is left
+                end = len(buffer) - 1
+                break
+            buffer += chunk
+        line = bytes(buffer[: end + 1])
+        del buffer[: end + 1]
+        return line.decode("utf-8")
+
+    def close(self) -> None:
+        self._selector.close()
+
+
 class ExternalProvider:
     """Client for the newline-delimited JSON provider protocol.
 
     One connection serves one codec stream.  Replies carry explicit token
-    ids and normalized probabilities; quantization happens here.
+    ids and normalized probabilities; quantization happens here.  A reply
+    line that does not arrive within ``timeout`` seconds raises
+    ``ProviderError``, over a pipe as over a socket.
     """
 
     def __init__(self, reader, writer, close=None):
@@ -326,16 +362,24 @@ class ExternalProvider:
         self._close = close
 
     @classmethod
-    def from_command(cls, argv: Sequence[str]) -> "ExternalProvider":
+    def from_command(cls, argv: Sequence[str], timeout: float = 30.0) -> "ExternalProvider":
         proc = subprocess.Popen(
             list(argv), stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1
         )
 
-        def _close():
-            proc.stdin.close()
-            proc.wait(timeout=10)
+        # Replies are read from the pipe's descriptor, never through proc.stdout's buffer.
+        reader = _PipeReader(proc.stdout, timeout)
 
-        return cls(proc.stdout, proc.stdin, close=_close)
+        def _close():
+            reader.close()
+            proc.stdin.close()
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:  # a stalled provider ignores the closed stdin
+                proc.kill()
+                proc.wait()
+
+        return cls(reader, proc.stdin, close=_close)
 
     @classmethod
     def from_socket(cls, host: str, port: int, timeout: float = 30.0) -> "ExternalProvider":

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adgstego import BitMessage, embed_step, equal_group, extract_step, group_count, implicit_q
-from adgstego.adg import _tree
+from adgstego.adg import _Node, _tree
 from adgstego.bitio import index_to_bits
 from adgstego.corpus import BOS_ID
 from adgstego.errors import StegoError
@@ -190,3 +190,85 @@ def test_locate_tables_agree_with_groups(model):
     assert_locate_matches_groups(root)
     assert_locate_matches_groups(max(root.groups(), key=lambda g: len(g.token_ids)))
     assert_locate_matches_groups(_tree(model.next_distribution([BOS_ID])))
+
+
+def canonical_node(ids, masses, u):
+    """A fresh tree node over ``ids`` in grouping order (mass desc, id asc), as the tree holds positions."""
+    order = sorted(range(len(ids)), key=lambda i: (-masses[i], ids[i]))
+    ids = np.asarray([ids[i] for i in order], dtype=np.int64)
+    masses = np.asarray([masses[i] for i in order], dtype=np.int64)
+    return _Node(ids, masses, int(masses.sum()), u), ids, masses
+
+
+def assert_same_group(got, want):
+    assert got.token_ids.tobytes() == want.token_ids.tobytes()
+    assert got.masses.tobytes() == want.masses.tobytes()
+    assert type(got.total_mass) is type(want.total_mass) and got.total_mass == want.total_mass
+
+
+def assert_requests_match_oracle(ids, masses, log_u, requests):
+    u = 1 << min(log_u, len(ids).bit_length() - 1)
+    if u < 2:
+        return
+    node, ids, masses = canonical_node(ids, masses, u)
+    try:
+        want = oracle_equal_group(ids, masses, u)
+    except StegoError as exc:
+        with pytest.raises(StegoError, match=str(exc)):
+            node.groups()
+        return
+    for kind, k in requests:
+        if kind == "child":
+            assert_same_group(node.child(k % u), want[k % u])
+        elif kind == "locate":
+            g, member = node.locate(k % len(ids))
+            assert want[g].token_ids[member] == ids[k % len(ids)]
+        else:
+            for got, w in zip(node.groups(), want, strict=True):
+                assert_same_group(got, w)
+    for g in range(u):  # the answers so far leave the rest of the grouping intact
+        assert_same_group(node.child(g), want[g])
+    for i, position in enumerate(ids.tolist()):
+        g, member = node.locate(i)
+        assert want[g].token_ids[member] == position
+
+
+requests = st.lists(st.tuples(st.sampled_from(["child", "locate", "groups"]), st.integers(0, 10**6)), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(distributions(st.integers(1, 10**9)), st.integers(1, 8), requests)
+def test_resumable_node_random_masses_any_request_order(dist, log_u, reqs):
+    assert_requests_match_oracle(*dist, log_u, reqs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(distributions(st.integers(0, 6)), st.integers(1, 3), st.integers(1, 8), requests)
+def test_resumable_node_add_k_ties_any_request_order(dist, k, log_u, reqs):
+    ids, counts = dist
+    assert_requests_match_oracle(ids, [2 * c + k for c in counts], log_u, reqs)
+
+
+def test_locate_on_a_node_never_grouped():
+    # Each lookup is the first request on a fresh node: positions in early
+    # groups, nearest-mass holes and the last group alike.
+    ids, masses = pareto_add_k(4, 700, 1.2, 1)
+    _, ids, masses = canonical_node(ids.tolist(), masses.tolist(), 1)
+    for u in (group_count(int(masses[0]), int(masses.sum())), 64):
+        want = oracle_equal_group(ids, masses, u)
+        for i, position in enumerate(ids.tolist()):
+            g, member = _Node(ids, masses, int(masses.sum()), u).locate(i)
+            assert want[g].token_ids[member] == position
+
+
+def test_child_zero_leaves_the_last_group_unformed():
+    # The 4,096-token Zipf shape: the root splits 4 ways and its tail node,
+    # ~3,900 tokens, 256 ways.
+    probs = 1.0 / np.arange(1, 4097, dtype=np.float64) ** 1.1
+    ids = np.random.default_rng(5).choice(ZIPF_VOCAB, size=4096, replace=False).astype(np.int64)
+    root = _tree(ConditionalDistribution(ids, quantize(probs / probs.sum())))
+    tail = root.child(root.u - 1)
+    assert tail.u == 256 and len(tail.token_ids) > 3_800
+    first = tail.child(0)
+    assert len(tail._stops) < tail.u  # the last group's stop is recorded only when the greedy ends
+    assert_same_group(first, oracle_equal_group(tail.token_ids, tail.masses, tail.u)[0])

@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import textwrap
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -233,6 +234,31 @@ def test_external_provider_closed_stream():
     try:
         with pytest.raises(ProviderError):
             provider.next_distribution([BOS_ID])
+    finally:
+        provider.close()
+
+
+# Reads one request, then sleeps for up to a minute, waking early once
+# its stdin closes so the provider's close() returns at once.
+STALLING_PROVIDER = textwrap.dedent(
+    """
+    import select, sys
+    sys.stdin.readline()
+    sys.stdout.write(sys.argv[1])
+    sys.stdout.flush()
+    select.select([sys.stdin], [], [], 60)
+    """
+)
+
+
+@pytest.mark.parametrize("partial", ["", '{"ids": [1, 2], "probs"'], ids=["silent", "partial-line"])
+def test_external_provider_command_read_deadline(partial):
+    provider = ExternalProvider.from_command([sys.executable, "-c", STALLING_PROVIDER, partial], timeout=0.5)
+    try:
+        start = time.monotonic()
+        with pytest.raises(ProviderError, match="no reply line within 0.5 s"):
+            provider.next_distribution([BOS_ID])
+        assert time.monotonic() - start < 10
     finally:
         provider.close()
 
