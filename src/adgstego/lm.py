@@ -320,6 +320,7 @@ class _PipeReader:
     """Reply lines from a pipe, each awaited for at most ``timeout`` seconds."""
 
     def __init__(self, pipe, timeout: float):
+        self._pipe = pipe
         self._fd = pipe.fileno()
         self._timeout = timeout
         self._buffer = bytearray()
@@ -345,6 +346,7 @@ class _PipeReader:
 
     def close(self) -> None:
         self._selector.close()
+        self._pipe.close()
 
 
 class ExternalProvider:
