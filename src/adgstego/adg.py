@@ -56,10 +56,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import runner
-from .bitio import BitMessage, deframe, index_to_bits, next_index
+from .bitio import BitMessage, index_to_bits, next_index
 from .errors import DesyncError, StegoError
 from .lm import ConditionalDistribution, sample_token
-from .runner import EmbedTrace, GenerationConfig
 
 
 def group_count(p_max_mass: int, denominator: int) -> int:
@@ -410,21 +409,3 @@ class ADGCodec(runner.Codec):
     def step_q(self, dist):
         return dist.token_ids, implicit_q(dist)
 
-
-def embed(
-    msg: BitMessage,
-    provider,
-    cfg: Optional[GenerationConfig] = None,
-) -> Tuple[List[List[int]], EmbedTrace]:
-    """Embed a framed message; see :func:`runner.embed_text` for the contract."""
-    return runner.embed_text(ADGCodec(), msg, provider, cfg or GenerationConfig())
-
-
-def extract(
-    sentences: Sequence[Sequence[int]],
-    provider,
-    cfg: Optional[GenerationConfig] = None,
-) -> List[int]:
-    """Recover the payload bits from stegotext sentences."""
-    raw = runner.extract_text(ADGCodec(), sentences, provider, cfg or GenerationConfig())
-    return deframe(raw)

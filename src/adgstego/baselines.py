@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .bitio import BitMessage, index_to_bits, next_index
-from .errors import DesyncError, StegoError
+from .errors import ConfigError, DesyncError, StegoError
 from .lm import ConditionalDistribution, sample_token
 from .metrics import kl_divergence_bits
 from .runner import Codec
@@ -36,9 +36,9 @@ class BinsCodec(Codec):
 
     def __init__(self, b: int, partition_seed: int, vocab_size: int):
         if b < 1:
-            raise ValueError(f"b must be >= 1, got {b}")
-        if vocab_size < (1 << b):
-            raise StegoError(f"vocabulary of {vocab_size} cannot fill {1 << b} bins")
+            raise ConfigError(f"b must be >= 1, got {b}")
+        if vocab_size.bit_length() <= b:  # vocab_size < 2**b, without building 2**b
+            raise ConfigError(f"vocabulary of {vocab_size} cannot fill 2**{b} bins")
         self.b = b
         self.nbins = 1 << b
         self.partition_seed = partition_seed
@@ -124,7 +124,7 @@ class HuffmanCodec(Codec):
 
     def __init__(self, k: int):
         if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+            raise ConfigError(f"k must be >= 1, got {k}")
         self.k = k
         self.params = {"k": k}
 
@@ -181,9 +181,9 @@ class PatientHuffmanCodec(Codec):
 
     def __init__(self, k: int, delta: float):
         if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if delta < 0:
-            raise ValueError(f"delta must be >= 0, got {delta}")
+            raise ConfigError(f"k must be >= 1, got {k}")
+        if not delta >= 0:  # NaN too
+            raise ConfigError(f"delta must be >= 0, got {delta}")
         self.k = k
         self.delta = delta
         self.params = {"k": k, "delta": delta}
@@ -233,9 +233,9 @@ class ArithmeticCodec(Codec):
 
     def __init__(self, h: int, precision: int = 52):
         if h < 2:
-            raise ValueError(f"h must be >= 2, got {h}")
+            raise ConfigError(f"h must be >= 2, got {h}")
         if not 40 <= precision <= 62:
-            raise ValueError(f"precision {precision} outside the supported range")
+            raise ConfigError(f"precision {precision} outside the supported range")
         self.h = h
         self.precision = precision
         self.params = {"h": h, "precision": precision}
@@ -351,14 +351,21 @@ def make_codec(method: str, vocab_size: int, **params):
     """Instantiate a codec by method tag; used by the CLI and the bench grid."""
     from .adg import ADGCodec
 
+    def number(name: str, kind=int, default=None):
+        value = params.get(name, default)
+        try:
+            return kind(value)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{method} parameter {name} must be a number ({kind.__name__}), got {value!r}") from exc
+
     if method == "adg":
         return ADGCodec()
     if method == "bins":
-        return BinsCodec(int(params["b"]), int(params.get("partition_seed", 0)), vocab_size)
+        return BinsCodec(number("b"), number("partition_seed", default=0), vocab_size)
     if method == "huffman":
-        return HuffmanCodec(int(params["k"]))
+        return HuffmanCodec(number("k"))
     if method == "patient_huffman":
-        return PatientHuffmanCodec(int(params.get("k", 3)), float(params["delta"]))
+        return PatientHuffmanCodec(number("k", default=3), number("delta", float))
     if method == "arithmetic":
-        return ArithmeticCodec(int(params["h"]), int(params.get("precision", 52)))
-    raise ValueError(f"unknown method {method!r}")
+        return ArithmeticCodec(number("h"), number("precision", default=52))
+    raise ConfigError(f"unknown method {method!r}")

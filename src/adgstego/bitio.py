@@ -41,14 +41,6 @@ def bits_to_bytes(bits: Sequence[int]) -> bytes:
     return bytes(out)
 
 
-def hex_to_bits(text: str) -> List[int]:
-    return bytes_to_bits(bytes.fromhex(text.strip()))
-
-
-def bits_to_hex(bits: Sequence[int]) -> str:
-    return bits_to_bytes(bits).hex()
-
-
 class BitMessage:
     """A bit sequence with a read cursor.
 
@@ -77,9 +69,6 @@ class BitMessage:
             self.cursor += 1
             return bit
         return pad_rng.getrandbits(1)
-
-    def peek_consumed(self) -> List[int]:
-        return self._bits[: self.cursor]
 
 
 def frame(payload: "bytes | Sequence[int]") -> BitMessage:

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 import yaml
 
-from . import adg, baselines, bundled, corpus, lm, metrics, runner
+from . import baselines, bundled, corpus, lm, metrics, runner
 from .bitio import bits_to_bytes, deframe, frame
 from .errors import ConfigError, DesyncError, StegoError
 
@@ -85,11 +85,19 @@ def _merge(base: Dict, override: Dict, path: str = "") -> Dict:
     return out
 
 
+def _parse_yaml(stream, where: str):
+    try:
+        return yaml.safe_load(stream)
+    except yaml.YAMLError as exc:
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ConfigError(f"{where} is not valid YAML: {problem}") from exc
+
+
 def load_config(path: Optional[str], overrides: Sequence[str]) -> Dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path:
         with open(path, encoding="utf-8") as fh:
-            loaded = yaml.safe_load(fh) or {}
+            loaded = _parse_yaml(fh, f"config file {path}") or {}
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} is not a mapping")
         cfg = _merge(cfg, loaded)
@@ -97,7 +105,7 @@ def load_config(path: Optional[str], overrides: Sequence[str]) -> Dict:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
-        value = yaml.safe_load(raw)
+        value = _parse_yaml(raw, f"--set {dotted}")
         node: Dict = {}
         leaf = node
         keys = dotted.split(".")
@@ -133,21 +141,11 @@ def _generation_config(cfg: Dict) -> runner.GenerationConfig:
 def _codec_from_config(spec: Dict, cfg: Dict, vocab_size: int):
     params = {k: v for k, v in spec.items() if k != "method"}
     params.setdefault("partition_seed", cfg["seeds"]["partition"])
-    try:
-        return baselines.make_codec(spec["method"], vocab_size, **params)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"codec config {json.dumps(spec, sort_keys=True)} is invalid: {exc!r}") from exc
-
-
-def _load_vocab(path: str) -> corpus.Vocabulary:
-    try:
-        return corpus.Vocabulary.load(path)
-    except ValueError as exc:
-        raise ConfigError(f"--vocab {path} is not a vocabulary file: {exc}") from exc
+    return baselines.make_codec(spec.get("method"), vocab_size, **params)
 
 
 def _load_model(model_path: str, vocab_path: str):
-    vocab = _load_vocab(vocab_path)
+    vocab = corpus.Vocabulary.load(vocab_path)
     model = lm.NGramLM.load(model_path, vocab)
     return model, vocab
 
@@ -165,10 +163,7 @@ def cmd_preprocess(args, cfg: Dict) -> None:
     )
     vocab = corpus.build_vocab(sentences, min_count=_config_number(cfg, "preprocess.min_count"))
     ratio, seed = _config_number(cfg, "preprocess.split_ratio", float), _config_number(cfg, "seeds.split")
-    try:
-        train, test = corpus.split(sentences, ratio, seed)
-    except ValueError as exc:
-        raise ConfigError(f"config key preprocess.split_ratio: {exc}") from exc
+    train, test = corpus.split(sentences, ratio, seed)
     corpus.write_corpus(args.out_train, train)
     corpus.write_corpus(args.out_test, test)
     vocab.save(args.out_vocab)
@@ -179,13 +174,10 @@ def cmd_preprocess(args, cfg: Dict) -> None:
 
 
 def cmd_train(args, cfg: Dict) -> None:
-    vocab = _load_vocab(args.vocab)
+    vocab = corpus.Vocabulary.load(args.vocab)
     sentences = [vocab.encode_sentence(s) for s in corpus.read_corpus(args.corpus)]
     order, k = _config_number(cfg, "lm.order"), _config_number(cfg, "lm.k", float)
-    try:
-        model = lm.train_ngram(sentences, order, k, vocab)
-    except ValueError as exc:
-        raise ConfigError(f"config keys lm.order/lm.k: {exc}") from exc
+    model = lm.train_ngram(sentences, order, k, vocab)
     model.save(args.out)
     log.info("trained order-%d model over %d sentences", model.order, len(sentences))
 
@@ -289,13 +281,19 @@ def _csv_text(name: str, value) -> str:
 
 
 def cmd_bench(args, cfg: Dict) -> None:
+    specs = cfg["bench"]["methods"]
+    # A spec's keys become make_codec keyword arguments, so they must be strings.
+    if not isinstance(specs, list) or not all(
+        isinstance(spec, dict) and all(isinstance(key, str) for key in spec) for spec in specs
+    ):
+        raise ConfigError(f"config key bench.methods must be a list of mappings, got {specs!r}")
     model, vocab = _load_model(args.model, args.vocab)
     test_sentences = corpus.read_corpus(args.corpus)
     cover_rng = random.Random(_config_number(cfg, "seeds.cover"))
     cover = list(test_sentences)
     cover_rng.shuffle(cover)
     rows = []
-    for spec in cfg["bench"]["methods"]:
+    for spec in specs:
         log.info("bench cell: %s", json.dumps(spec, sort_keys=True))
         report = _bench_cell(model, vocab, cfg, spec, cover)
         rows.append(report)
@@ -310,10 +308,7 @@ def cmd_bench(args, cfg: Dict) -> None:
 
 
 def cmd_metrics(args, cfg: Dict) -> None:
-    try:
-        trace = runner.EmbedTrace.load(args.trace)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"--trace {args.trace} is not a trace file: {exc!r}") from exc
+    trace = runner.EmbedTrace.load(args.trace)
     stego = corpus.read_corpus(args.stego) if args.stego else None
     cover = corpus.read_corpus(args.cover) if args.cover else None
     report = metrics.report_from_traces(
@@ -404,8 +399,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_config(args.config, args.overrides)
         args.func(args, cfg)
-    except FileNotFoundError as exc:
-        log.error("missing file: %s", exc.filename or exc)
+    except OSError as exc:
+        log.error("%s: %s", exc.filename or "file", exc.strerror or exc)
         return 1
     except StegoError as exc:
         log.error("%s: %s", type(exc).__name__, exc)

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .errors import EmptyCorpusError
+from .errors import ConfigError, EmptyCorpusError
 
 PAD_ID, UNK_ID, BOS_ID, EOS_ID = 0, 1, 2, 3
 PAD, UNK, BOS, EOS = "_pad", "_unk", "_bos", "_eos"
@@ -74,15 +74,12 @@ class Vocabulary:
         self.id_to_token: List[str] = list(RESERVED) + list(tokens)
         self.token_to_id: Dict[str, int] = {t: i for i, t in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
-            raise ValueError("duplicate surface forms in vocabulary")
+            raise ConfigError("duplicate surface forms in vocabulary")
         self.counts = dict(counts)
         self.min_count = min_count
 
     def __len__(self) -> int:
         return len(self.id_to_token)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
 
     def encode_token(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
@@ -116,17 +113,19 @@ class Vocabulary:
     def load(cls, path: str) -> "Vocabulary":
         id_to_token: List[str] = []
         counts: Dict[str, int] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                idx, tok, count = line.rstrip("\n").split("\t")
-                if int(idx) != len(id_to_token):
-                    raise ValueError(f"vocabulary file ids out of order at {idx}")
-                id_to_token.append(tok)
-                counts[tok] = int(count)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                rows = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
+            rows = [(int(idx), tok, int(count)) for idx, tok, count in rows]
+        except ValueError as exc:  # not UTF-8, not three fields, or a non-integer id or count
+            raise ConfigError(f"vocabulary file {path} is not id<TAB>token<TAB>count lines: {exc}") from exc
+        for idx, tok, count in rows:
+            if idx != len(id_to_token):
+                raise ConfigError(f"vocabulary file {path} ids out of order at {idx}")
+            id_to_token.append(tok)
+            counts[tok] = count
         if id_to_token[:4] != RESERVED:
-            raise ValueError("vocabulary file lacks the reserved _pad/_unk/_bos/_eos ids")
+            raise ConfigError(f"vocabulary file {path} lacks the reserved _pad/_unk/_bos/_eos ids")
         vocab = cls(id_to_token[4:], counts, min_count=0)
         return vocab
 
@@ -156,7 +155,7 @@ def split(
 ) -> Tuple[List[Sequence[str]], List[Sequence[str]]]:
     """Deterministic shuffled split into (train, test) by train fraction."""
     if not 0.0 < ratio < 1.0:
-        raise ValueError(f"train fraction {ratio} outside (0, 1)")
+        raise ConfigError(f"train fraction {ratio} outside (0, 1)")
     if len(sentences) < 2:
         raise EmptyCorpusError("need at least 2 sentences to split")
     order = list(range(len(sentences)))

@@ -37,5 +37,5 @@ class CapacityError(StegoError):
     """Generation budget was exhausted before the message was delivered."""
 
 
-class ConfigError(StegoError):
-    """Run configuration or command-line input failed validation; message names the key."""
+class ConfigError(StegoError, ValueError):
+    """A parameter, config value or input file failed validation where it is read."""

@@ -16,9 +16,9 @@ of equal masses comes out of id order.
 
 Two sources are provided: a trainable add-k / backoff n-gram model, and a
 client for an external provider speaking newline-delimited JSON
-(``{"context": [ids]}`` -> ``{"ids": [...], "probs": [...]}``) over stdio
-or a stream socket.  Provider probabilities are quantized locally, so the
-two endpoints never need to agree on float behavior.
+(``{"context": [ids]}`` -> ``{"ids": [...], "probs": [...]}``) over a
+subprocess's stdio or any other text stream.  Provider probabilities are
+quantized locally, so the ends never need to agree on float behavior.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import math
 import os
 import random
 import selectors
-import socket
 import subprocess
 import time
 from typing import Dict, Optional, Sequence, Tuple, Union
@@ -36,7 +35,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .corpus import BOS_ID, Vocabulary
-from .errors import EmptyCorpusError, ModelMismatchError, ProviderError, QuantizationError
+from .errors import ConfigError, EmptyCorpusError, ModelMismatchError, ProviderError, QuantizationError
 
 DENOMINATOR = 1 << 31
 SUM_TOLERANCE = 1e-6
@@ -253,29 +252,33 @@ class NGramLM:
 
     @classmethod
     def load(cls, path: str, vocab: Vocabulary) -> "NGramLM":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("format_version") != MODEL_FORMAT_VERSION:
-            raise ModelMismatchError(f"unsupported model format in {path}")
-        if doc["vocab_hash"] != vocab.content_hash():
-            raise ModelMismatchError("model file was trained against a different vocabulary")
-        tables: Dict[int, Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray, int]]] = {}
-        for length, serial in doc["contexts"].items():
-            table = {}
-            for key, (ids, counts) in serial.items():
-                ctx = tuple(int(x) for x in key.split(",")) if key else ()
-                arr_ids = np.asarray(ids, dtype=np.int64)
-                arr_counts = np.asarray(counts, dtype=np.float64)
-                table[ctx] = (arr_ids, arr_counts, int(arr_counts.sum()))
-            tables[int(length)] = table
-        return cls(
-            order=int(doc["order"]),
-            k=float(doc["k"]),
-            vocab_size=int(doc["vocab_size"]),
-            vocab_hash=doc["vocab_hash"],
-            unigram_counts=np.asarray(doc["unigram_counts"], dtype=np.float64),
-            context_tables=tables,
-        )
+        """Read a model written by :meth:`save`; any other file, JSON or not, raises ModelMismatchError."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            if doc.get("format_version") != MODEL_FORMAT_VERSION:
+                raise ModelMismatchError(f"unsupported model format in {path}")
+            if doc["vocab_hash"] != vocab.content_hash():
+                raise ModelMismatchError("model file was trained against a different vocabulary")
+            tables: Dict[int, Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray, int]]] = {}
+            for length, serial in doc["contexts"].items():
+                table = {}
+                for key, (ids, counts) in serial.items():
+                    ctx = tuple(int(x) for x in key.split(",")) if key else ()
+                    arr_ids = np.asarray(ids, dtype=np.int64)
+                    arr_counts = np.asarray(counts, dtype=np.float64)
+                    table[ctx] = (arr_ids, arr_counts, int(arr_counts.sum()))
+                tables[int(length)] = table
+            return cls(
+                order=int(doc["order"]),
+                k=float(doc["k"]),
+                vocab_size=int(doc["vocab_size"]),
+                vocab_hash=doc["vocab_hash"],
+                unigram_counts=np.asarray(doc["unigram_counts"], dtype=np.float64),
+                context_tables=tables,
+            )
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise ModelMismatchError(f"model file {path} is corrupt: {exc!r}") from exc
 
 
 def train_ngram(
@@ -283,9 +286,9 @@ def train_ngram(
 ) -> NGramLM:
     """Count n-grams over id sentences (each including BOS and EOS)."""
     if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
+        raise ConfigError(f"order must be >= 2, got {order}")
     if not 0 < k < math.inf:
-        raise ValueError(f"smoothing constant must be positive and finite, got {k}")
+        raise ConfigError(f"smoothing constant must be positive and finite, got {k}")
     if not sentences:
         raise EmptyCorpusError("cannot train on an empty corpus")
 
@@ -354,8 +357,8 @@ class ExternalProvider:
 
     One connection serves one codec stream.  Replies carry explicit token
     ids and normalized probabilities; quantization happens here.  A reply
-    line that does not arrive within ``timeout`` seconds raises
-    ``ProviderError``, over a pipe as over a socket.
+    line from :meth:`from_command` that does not arrive within ``timeout``
+    seconds raises ``ProviderError``.
     """
 
     def __init__(self, reader, writer, close=None):
@@ -382,12 +385,6 @@ class ExternalProvider:
                 proc.wait()
 
         return cls(reader, proc.stdin, close=_close)
-
-    @classmethod
-    def from_socket(cls, host: str, port: int, timeout: float = 30.0) -> "ExternalProvider":
-        conn = socket.create_connection((host, port), timeout=timeout)
-        fh = conn.makefile("rw", encoding="utf-8", newline="\n")
-        return cls(fh, fh, close=conn.close)
 
     def close(self) -> None:
         if self._close is not None:

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import StegoError
+from .errors import ConfigError, StegoError
 from .runner import EmbedTrace
 
 VECTORIZER_ID = "hashed-bow-signed-projection-v1"
@@ -52,17 +52,10 @@ def kl_divergence_bits(p: Sequence[float], q: Sequence[float]) -> float:
     return total
 
 
-def group_kl_bits(etas: Sequence[float]) -> float:
-    """Group-form distortion of a single grouping level: sum of eta*log2(u*eta)."""
-    u = len(etas)
-    return float(sum(e * math.log2(u * e) for e in etas if e > 0))
-
-
 @dataclass
 class Kld1Result:
     mean_qp: float
     mean_pq: Optional[float]  # None when any step made it infinite
-    steps: int
 
 
 def kld1(*traces: EmbedTrace) -> Kld1Result:
@@ -86,20 +79,7 @@ def kld1(*traces: EmbedTrace) -> Kld1Result:
     if not qps:
         raise StegoError("trace has no scored steps")
     mean_pq = (sum(pqs) / len(pqs)) if (finite_pq and pqs) else None
-    return Kld1Result(mean_qp=sum(qps) / len(qps), mean_pq=mean_pq, steps=len(qps))
-
-
-def _mean_entropy(traces: Sequence[EmbedTrace]) -> Optional[float]:
-    values = [s.entropy for t in traces for s in t.steps if not s.forced and s.entropy is not None]
-    return sum(values) / len(values) if values else None
-
-
-def mean_step_entropy(*traces: EmbedTrace) -> float:
-    """Mean per-step model entropy (bits) over the scored steps of ``traces``."""
-    mean = _mean_entropy(traces)
-    if mean is None:
-        raise StegoError("trace lacks per-step entropy stats")
-    return mean
+    return Kld1Result(mean_qp=sum(qps) / len(qps), mean_pq=mean_pq)
 
 
 # Token patterns memoized across calls; the oldest entry is evicted past
@@ -152,9 +132,9 @@ def kld2(cover_vectors: Sequence[np.ndarray], stego_vectors: Sequence[np.ndarray
 def eer(acc: float, er: float) -> float:
     """Effective embedding rate: capacity discounted by detectability."""
     if not 0.0 <= acc <= 1.0:
-        raise ValueError(f"accuracy {acc} outside [0, 1]")
+        raise ConfigError(f"accuracy {acc} outside [0, 1]")
     if er < 0:
-        raise ValueError(f"embedding rate {er} must be nonnegative")
+        raise ConfigError(f"embedding rate {er} must be nonnegative")
     acc = max(acc, 1.0 - acc)
     return 2.0 * (1.0 - acc) * er
 
@@ -195,6 +175,7 @@ def report_from_traces(
         stego_v = [sentence_vector(s, vector_dim, vector_seed) for s in stego_sentences]
         kld2_value = kld2(cover_v, stego_v)
     er_value = embedding_rate(*traces)
+    entropies = [s.entropy for t in traces for s in t.steps if not s.forced and s.entropy is not None]
     return MetricReport(
         method=traces[0].method,
         params=traces[0].params,
@@ -204,7 +185,7 @@ def report_from_traces(
         kld1_pq=divergence.mean_pq,
         kld2=kld2_value,
         eer=eer(acc, er_value) if acc is not None else None,
-        entropy=_mean_entropy(traces),
+        entropy=sum(entropies) / len(entropies) if entropies else None,
         sentences=len(stego_sentences) if stego_sentences is not None else 0,
         tokens=sum(t.total_tokens for t in traces),
         vectorizer_seed=vector_seed,

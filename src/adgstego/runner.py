@@ -25,7 +25,7 @@ import numpy as np
 
 from .bitio import HEADER_BITS, BitMessage
 from .corpus import BOS_ID, EOS_ID
-from .errors import CapacityError, DesyncError, ProviderError
+from .errors import CapacityError, ConfigError, DesyncError, ProviderError
 from .lm import ConditionalDistribution
 
 
@@ -120,18 +120,22 @@ class EmbedTrace:
 
     @classmethod
     def load(cls, path: str) -> "EmbedTrace":
+        """Read a trace written by :meth:`save`; any other file raises ConfigError."""
         with open(path, encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            if not isinstance(header, dict) or header.get("record") != "header":
-                raise ValueError(f"trace file {path} lacks a header record")
-            trace = cls(**{f.name: header[f.name] for f in fields(cls) if f.name != "steps"})
-            for line in fh:
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                if not isinstance(row, dict) or row.pop("record", None) != "step":
-                    raise ValueError(f"trace file {path} holds a line that is not a step record")
-                trace.steps.append(StepRecord(**row))
+            try:
+                header = json.loads(fh.readline())
+                if not isinstance(header, dict) or header.get("record") != "header":
+                    raise ConfigError(f"trace file {path} lacks a header record")
+                trace = cls(**{f.name: header[f.name] for f in fields(cls) if f.name != "steps"})
+                for line in fh:
+                    if not line.strip():
+                        continue
+                    row = json.loads(line)
+                    if not isinstance(row, dict) or row.pop("record", None) != "step":
+                        raise ConfigError(f"trace file {path} holds a line that is not a step record")
+                    trace.steps.append(StepRecord(**row))
+            except (KeyError, TypeError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"trace file {path} is not a trace: {exc!r}") from exc
         return trace
 
 

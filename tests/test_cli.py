@@ -255,6 +255,35 @@ def _preprocess_argv(tmp_path):
             "--out-test", str(tmp_path / "test.txt"), "--out-vocab", str(tmp_path / "vocab.tsv")]
 
 
+def _model_file_argv(text):
+    def build(workdir, tmp_path):
+        (tmp_path / "model.json").write_text(text)
+        argv = _embed_argv(workdir, tmp_path)
+        argv[argv.index("--model") + 1] = str(tmp_path / "model.json")
+        return argv
+    return build
+
+
+def _payload_directory_argv(workdir, tmp_path):
+    argv = _embed_argv(workdir, tmp_path)
+    at = argv.index("--hex")
+    argv[at : at + 2] = ["--in", str(tmp_path)]
+    return argv
+
+
+def _bench_argv(workdir, tmp_path):
+    return ["bench", "--model", str(workdir / "model.json"), "--vocab", str(workdir / "vocab.tsv"),
+            "--corpus", str(workdir / "test.txt"), "--out", str(tmp_path / "bench.csv")]
+
+
+def _metrics_acc_above_one_argv(workdir, tmp_path):
+    (tmp_path / "trace.ndjson").write_text(
+        '{"record": "header", "method": "adg", "params": {}, "frame_bits": 32, "payload_bits": 0}\n'
+        '{"record": "step", "token": 4, "bits": 1.0, "kld_qp": 0.1, "kld_pq": 0.2, "entropy": 1.0}\n'
+    )
+    return ["metrics", "--trace", str(tmp_path / "trace.ndjson"), "--acc", "1.5"]
+
+
 def _vocab_without_reserved_ids_argv(workdir, tmp_path):
     (tmp_path / "vocab.tsv").write_text("0\tword\t12\n1\tother\t11\n")
     argv = _embed_argv(workdir, tmp_path)
@@ -275,9 +304,18 @@ def _vocab_without_reserved_ids_argv(workdir, tmp_path):
         lambda w, t: ["--set", "lm.k=0"] + _train_argv(w, t),
         lambda w, t: ["--set", "lm.k=nan"] + _train_argv(w, t),
         lambda w, t: ["--set", "preprocess.split_ratio=1.5"] + _preprocess_argv(t),
+        _metrics_acc_above_one_argv,
+        _model_file_argv("{"),
+        _model_file_argv('{"format_version":1}'),
+        lambda w, t: ["--set", "lm.order=[1"] + _train_argv(w, t),
+        _payload_directory_argv,
+        lambda w, t: ["--set", "bench.methods=[5]"] + _bench_argv(w, t),
+        lambda w, t: ["--set", "bench.methods=5"] + _bench_argv(w, t),
     ],
     ids=["ragged-frame", "unknown-method", "bins-b-zero", "min-len-not-int", "vocab-without-reserved-ids",
-         "lm-order-not-int", "lm-order-one", "lm-k-zero", "lm-k-nan", "split-ratio-above-one"],
+         "lm-order-not-int", "lm-order-one", "lm-k-zero", "lm-k-nan", "split-ratio-above-one",
+         "metrics-acc-above-one", "model-not-json", "model-without-fields", "set-value-not-yaml",
+         "payload-is-a-directory", "bench-method-not-mapping", "bench-methods-not-list"],
 )
 def test_bad_input_exits_with_one_error_line(workdir, tmp_path, caplog, build_argv):
     argv = build_argv(workdir, tmp_path)

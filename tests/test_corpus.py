@@ -65,7 +65,7 @@ def test_build_vocab_order_and_min_count():
     # Reserved ids first, then count desc with lexicographic ties.
     assert vocab.id_to_token[:4] == ["_pad", "_unk", "_bos", "_eos"]
     assert vocab.id_to_token[4:] == ["a", "b", "c"]
-    assert "d" not in vocab
+    assert "d" not in vocab.token_to_id
     assert vocab.encode_token("d") == UNK_ID
 
 

@@ -12,11 +12,9 @@ from adgstego.metrics import (
     Kld1Result,
     eer,
     embedding_rate,
-    group_kl_bits,
     kl_divergence_bits,
     kld1,
     kld2,
-    mean_step_entropy,
     report_from_traces,
     sentence_vector,
 )
@@ -46,29 +44,12 @@ def test_kl_divergence_bits_basic():
     assert math.isinf(kl_divergence_bits([0.5, 0.5], [1.0, 0.0]))
 
 
-def test_group_kl_worked_example():
-    # eta = (0.75, 0.25), u = 2: 0.75*log2(1.5) + 0.25*log2(0.5)
-    expect = 0.75 * math.log2(1.5) + 0.25 * math.log2(0.5)
-    assert group_kl_bits([0.75, 0.25]) == pytest.approx(expect)
-    assert expect == pytest.approx(0.18872, abs=5e-6)
-    assert group_kl_bits([0.5, 0.5]) == 0.0
-    assert group_kl_bits([0.25, 0.25, 0.25, 0.25]) == 0.0
-
-
-def test_group_kl_nonnegative():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        u = int(rng.integers(2, 32))
-        etas = rng.dirichlet(np.ones(u))
-        assert group_kl_bits(etas) >= -1e-12
-
-
 def test_kld1_skips_forced_and_averages():
     trace = make_trace([1, 1], kld_qp=0.5, kld_pq=0.25, entropy=2.0)
     trace.steps.append(StepRecord(token=3, bits=0.0, forced=True))
     result = kld1(trace)
-    assert result == Kld1Result(mean_qp=0.5, mean_pq=0.25, steps=2)
-    assert mean_step_entropy(trace) == pytest.approx(2.0)
+    assert result == Kld1Result(mean_qp=0.5, mean_pq=0.25)
+    assert report_from_traces([trace]).entropy == pytest.approx(2.0)
 
 
 def test_kld1_infinite_direction_reported_as_none():
@@ -84,7 +65,7 @@ def test_kld1_requires_stats():
 def test_kld1_pools_the_steps_of_several_traces():
     a = make_trace([1, 1], kld_qp=0.5, kld_pq=0.25)
     b = make_trace([1], kld_qp=2.0, kld_pq=1.0)
-    assert kld1(a, b) == Kld1Result(mean_qp=1.0, mean_pq=0.5, steps=3)
+    assert kld1(a, b) == Kld1Result(mean_qp=1.0, mean_pq=0.5)
     b.steps[0].kld_pq = math.inf
     assert kld1(a, b).mean_pq is None
 

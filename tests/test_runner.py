@@ -2,13 +2,17 @@
 
 import io
 import random
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adgstego import ADGCodec, CachedProvider, frame
+from adgstego import ADGCodec, BitMessage, CachedProvider, deframe, frame, make_codec
+from adgstego.bitio import HEADER_BITS, bytes_to_bits
 from adgstego.corpus import BOS_ID, EOS_ID
-from adgstego.errors import CapacityError, DesyncError, ProviderError
+from adgstego.errors import CapacityError, DesyncError, ProviderError, StegoError
 from adgstego.lm import ConditionalDistribution, ExternalProvider
 from adgstego.runner import (
     EmbedTrace,
@@ -123,3 +127,46 @@ def test_stats_collection_fills_all_unforced_steps(provider):
             assert step.kld_qp is not None
             assert step.entropy is not None and step.entropy > 0
             assert step.kld_qp >= -1e-12
+
+
+# The bench grid's codec parameters.
+FUZZ_CODECS = {
+    "adg": {},
+    "arithmetic": {"h": 300},
+    "bins": {"b": 5},
+    "huffman": {"k": 5},
+    "patient_huffman": {"k": 3, "delta": 1.0},
+}
+
+
+@pytest.mark.parametrize("method", sorted(FUZZ_CODECS))
+@given(data=st.data())
+@settings(derandomize=True, max_examples=200, deadline=timedelta(seconds=2))
+def test_extract_of_hostile_text_returns_bits_or_a_stego_error(provider, vocab, method, data):
+    def codec():
+        return make_codec(method, len(vocab), **FUZZ_CODECS[method])
+
+    cfg = GenerationConfig(sample_seed=data.draw(st.integers(0, 99)))
+    token = st.integers(-3, len(vocab) + 5)
+    kind = data.draw(st.sampled_from(["random", "edited", "truncated", "oversized-header"]))
+    if kind == "random":
+        sentences = data.draw(st.lists(st.lists(token, max_size=30), max_size=4))
+    else:
+        payload = data.draw(st.binary(max_size=16))
+        if kind == "oversized-header":  # the header promises 2**32 - 1 payload bits
+            msg = BitMessage([1] * HEADER_BITS + bytes_to_bits(payload))
+        else:
+            msg = frame(payload)
+        sentences, _trace = embed_text(codec(), msg, provider, cfg)
+        if kind == "edited":
+            cells = [(i, j) for i, s in enumerate(sentences) for j in range(len(s))]
+            i, j = data.draw(st.sampled_from(cells))
+            sentences[i][j] = data.draw(token)
+        elif kind == "truncated":
+            sentences = sentences[: data.draw(st.integers(0, len(sentences) - 1))]
+    # A wrong payload still passes here: nothing on the wire authenticates it yet.
+    try:
+        bits = deframe(extract_text(codec(), sentences, provider, cfg))
+    except StegoError:
+        return
+    assert set(bits) <= {0, 1}
