@@ -358,9 +358,6 @@ def implicit_q(dist: ConditionalDistribution) -> np.ndarray:
     level contributes a factor ``1/u`` for its group, and the final group
     contributes the token's renormalized mass.
     """
-    cached = dist.cache.get("adg_q")
-    if cached is not None:
-        return cached
     # Its own walk over the tree's node type, from a fresh root, so the tree
     # caches only what embedding and extraction built: walking the cached
     # tree instead kept ~20x the memory alive and ran slower.  Positions are
@@ -387,7 +384,6 @@ def implicit_q(dist: ConditionalDistribution) -> np.ndarray:
         totals = np.repeat([node.total_mass for node, _ in leaves], sizes)
         scales = np.repeat([scale for _, scale in leaves], sizes)
         q[np.concatenate([node.token_ids for node, _ in leaves])] = scales * (masses / totals)
-    dist.cache["adg_q"] = q
     return q
 
 
@@ -407,5 +403,5 @@ class ADGCodec(runner.Codec):
         return extract_step(dist, token_id)
 
     def step_q(self, dist):
-        return dist.token_ids, implicit_q(dist)
+        return np.arange(len(dist)), implicit_q(dist)
 

@@ -78,8 +78,7 @@ class BinsCodec(Codec):
     def step_q(self, dist):
         table = self._bin_argmax(dist)
         positions = table[table >= 0]
-        ids = dist.token_ids[positions]
-        return ids, np.full(ids.size, 1.0 / self.nbins)
+        return positions, np.full(positions.size, 1.0 / self.nbins)
 
 
 def _build_huffman(dist: ConditionalDistribution, k: int):
@@ -117,6 +116,13 @@ def _build_huffman(dist: ConditionalDistribution, k: int):
     return root, codes
 
 
+def _codeword_probs(dist: ConditionalDistribution, k: int) -> np.ndarray:
+    """Probability ``2**-len(code)`` of each top-``2**k`` entry's Huffman codeword, by position."""
+    _root, codes = _build_huffman(dist, k)
+    top = min(1 << k, len(dist))
+    return np.array([2.0 ** -len(codes[token]) for token in dist.token_ids[:top].tolist()])
+
+
 class HuffmanCodec(Codec):
     """Per-step Huffman coding of the top ``2**k`` likely tokens."""
 
@@ -144,10 +150,8 @@ class HuffmanCodec(Codec):
         return list(code)
 
     def step_q(self, dist):
-        _root, codes = _build_huffman(dist, self.k)
-        ids = np.asarray(sorted(codes), dtype=np.int64)
-        probs = np.asarray([2.0 ** -len(codes[int(t)]) for t in ids])
-        return ids, probs
+        q = _codeword_probs(dist, self.k)
+        return np.arange(q.size), q
 
 
 def _huffman_distortion(dist: ConditionalDistribution, k: int) -> float:
@@ -158,12 +162,10 @@ def _huffman_distortion(dist: ConditionalDistribution, k: int) -> float:
     hit = dist.cache.get(key)
     if hit is not None:
         return hit
-    _root, codes = _build_huffman(dist, k)
     top = min(1 << k, len(dist))
     total = int(dist.masses[:top].sum())
-    qs = [2.0 ** -len(codes[token]) for token in dist.token_ids[:top].tolist()]
     ps = [mass / total for mass in dist.masses[:top].tolist()]
-    d = kl_divergence_bits(qs, ps)
+    d = kl_divergence_bits(_codeword_probs(dist, k).tolist(), ps)
     dist.cache[key] = d
     return d
 
@@ -211,7 +213,7 @@ class PatientHuffmanCodec(Codec):
 
     def step_q(self, dist):
         if self._patient(dist):
-            return dist.token_ids, dist.probs()
+            return np.arange(len(dist)), dist.probs()
         return self._huffman.step_q(dist)
 
 
@@ -261,10 +263,9 @@ class ArithmeticCodec(Codec):
         hit = dist.cache.get(key)
         if hit is None:
             top = min(self.h, len(dist))
-            ids = dist.token_ids[:top]
             cum = np.cumsum(dist.masses[:top]).tolist()
-            positions = dict(zip(ids.tolist(), range(top)))
-            hit = (ids, dist.masses[:top].tolist(), cum, cum[-1] if cum else 0, positions)
+            positions = dict(zip(dist.token_ids[:top].tolist(), range(top)))
+            hit = (cum, cum[-1] if cum else 0, positions)
             dist.cache[key] = hit
         return hit
 
@@ -279,7 +280,7 @@ class ArithmeticCodec(Codec):
             self._value = 0
             for _ in range(self.precision):
                 self._value = (self._value << 1) | msg.read_bit(pad_rng)
-        ids, masses, cum, total, _positions = self._truncated(dist)
+        cum, total, _positions = self._truncated(dist)
         width = self._high - self._low + 1
         target = ((self._value - self._low + 1) * total - 1) // width
         j = bisect_right(cum, target)
@@ -305,10 +306,10 @@ class ArithmeticCodec(Codec):
             self._low <<= 1
             self._high = (self._high << 1) | 1
             self._value = (self._value << 1) | msg.read_bit(pad_rng)
-        return int(ids[j]), bits, None
+        return int(dist.token_ids[j]), bits, None
 
     def extract_step(self, dist, token_id) -> List[int]:
-        _ids, _masses, cum, total, positions = self._truncated(dist)
+        cum, total, positions = self._truncated(dist)
         j = positions.get(int(token_id))
         if j is None:
             raise DesyncError(f"token {token_id} outside the top {self.h} set")
@@ -343,8 +344,8 @@ class ArithmeticCodec(Codec):
         return [1] + [0] * self._pending
 
     def step_q(self, dist):
-        ids, masses, _cum, total, _positions = self._truncated(dist)
-        return ids, np.asarray(masses, dtype=np.float64) / total
+        cum, total, _positions = self._truncated(dist)
+        return np.arange(len(cum)), dist.masses[: len(cum)] / total
 
 
 def make_codec(method: str, vocab_size: int, **params):

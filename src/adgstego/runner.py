@@ -155,7 +155,10 @@ class Codec:
 
     A subclass defines ``name``, ``params`` (a JSON-serializable dict),
     ``embed_step(dist, msg, sample_rng, pad_rng) -> (token, bits, group_sizes)``,
-    ``extract_step(dist, token) -> bits`` and ``step_q(dist) -> (ids, probs)``.
+    ``extract_step(dist, token) -> bits`` and ``step_q(dist) -> (positions, probs)``:
+    the distribution q the codec induces on uniform message bits, as an int
+    array of positions into ``dist`` (its mass-desc, id-asc order) and the
+    probability of each.
     The defaults below fit a codec without state between steps; a codec
     with stream state overrides them.
     """
@@ -175,12 +178,10 @@ class Codec:
         return []
 
 
-def _step_stats(dist: ConditionalDistribution, q_ids, q_probs) -> Tuple[float, float, float]:
-    """Per-step KL(q||p), KL(p||q) and H(p), all in bits."""
+def _step_stats(dist: ConditionalDistribution, positions, q_probs) -> Tuple[float, float, float]:
+    """Per-step KL(q||p), KL(p||q) and H(p), all in bits; ``positions`` index ``dist``."""
     p = dist.probs()
     entropy = float(-(p * np.log2(p)).sum())
-    by_id = np.argsort(dist.token_ids)
-    positions = by_id[np.searchsorted(dist.token_ids, q_ids, sorter=by_id)]
     q = np.asarray(q_probs, dtype=np.float64)
     support = q > 0
     qp = float((q[support] * np.log2(q[support] / p[positions[support]])).sum())
@@ -237,8 +238,7 @@ def embed_text(
                     skey = ("stats", codec.name, tuple(sorted(codec.params.items())))
                     stats = dist.cache.get(skey)
                     if stats is None:
-                        q_ids, q_probs = codec.step_q(dist)
-                        stats = _step_stats(dist, q_ids, q_probs)
+                        stats = _step_stats(dist, *codec.step_q(dist))
                         dist.cache[skey] = stats
                     record.kld_qp, record.kld_pq, record.entropy = stats
             trace.steps.append(record)
