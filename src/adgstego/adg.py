@@ -204,7 +204,7 @@ class _Node:
         self.total_mass = total_mass
         if u is None:
             # Members are in mass-desc order, so the first mass is the largest.
-            u = group_count(int(masses[0]), total_mass) if total_mass else 1
+            u = group_count(int(masses[0]), total_mass)
         self.u = u
         self._children: Dict[int, _Node] = {}
         self._group_of: Optional[array] = None

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from .adg import ADGCodec
 from .bitio import BitMessage, index_to_bits, next_index
 from .errors import ConfigError, DesyncError, StegoError
 from .lm import ConditionalDistribution, sample_token
@@ -350,7 +351,6 @@ class ArithmeticCodec(Codec):
 
 def make_codec(method: str, vocab_size: int, **params):
     """Instantiate a codec by method tag; used by the CLI and the bench grid."""
-    from .adg import ADGCodec
 
     def number(name: str, kind=int, default=None):
         value = params.get(name, default)

@@ -96,8 +96,7 @@ def _parse_yaml(stream, where: str):
 def load_config(path: Optional[str], overrides: Sequence[str]) -> Dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path:
-        with open(path, encoding="utf-8") as fh:
-            loaded = _parse_yaml(fh, f"config file {path}") or {}
+        loaded = _parse_yaml(corpus.read_text(path), f"config file {path}") or {}
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} is not a mapping")
         cfg = _merge(cfg, loaded)
@@ -151,10 +150,8 @@ def _load_model(model_path: str, vocab_path: str):
 
 
 def cmd_preprocess(args, cfg: Dict) -> None:
-    with open(args.input, encoding="utf-8") as fh:
-        raw = fh.read()
     sentences = corpus.preprocess(
-        raw,
+        corpus.read_text(args.input),
         corpus.PreprocessConfig(
             min_len=_config_number(cfg, "preprocess.min_len"),
             max_len=_config_number(cfg, "preprocess.max_len"),
@@ -230,13 +227,12 @@ def cmd_extract(args, cfg: Dict) -> None:
     log.info("recovered %d payload bytes", len(payload))
 
 
-def _bench_cell(model, vocab, cfg: Dict, spec: Dict, cover: List[List[str]]):
+def _bench_cell(model, vocab, cfg: Dict, spec: Dict, cell_key: str, cover: List[List[str]]):
     n_sentences = _config_number(cfg, "bench.n_sentences")
     payload_bits = _config_number(cfg, "bench.payload_bits")
     gen_cfg = _generation_config(cfg)
     gen_cfg.collect_stats = True
     sample_seed, pad_seed = gen_cfg.sample_seed, gen_cfg.pad_seed
-    cell_key = json.dumps(spec, sort_keys=True)
     digest = hashlib.sha256(f"{cfg['seeds']['payload']}:{cell_key}".encode("utf-8")).digest()
     payload_rng = random.Random(int.from_bytes(digest[:8], "big"))
     codec = _codec_from_config(spec, cfg, len(vocab))
@@ -282,21 +278,25 @@ def _csv_text(name: str, value) -> str:
 
 def cmd_bench(args, cfg: Dict) -> None:
     specs = cfg["bench"]["methods"]
-    # A spec's keys become make_codec keyword arguments, so they must be strings.
+    # A spec's keys become make_codec keyword arguments, so they must be
+    # strings, and its JSON form keys the cell's payload seed.
     if not isinstance(specs, list) or not all(
         isinstance(spec, dict) and all(isinstance(key, str) for key in spec) for spec in specs
     ):
         raise ConfigError(f"config key bench.methods must be a list of mappings, got {specs!r}")
+    try:
+        cell_keys = [json.dumps(spec, sort_keys=True) for spec in specs]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key bench.methods holds a value with no JSON form: {exc}") from exc
     model, vocab = _load_model(args.model, args.vocab)
     test_sentences = corpus.read_corpus(args.corpus)
     cover_rng = random.Random(_config_number(cfg, "seeds.cover"))
     cover = list(test_sentences)
     cover_rng.shuffle(cover)
     rows = []
-    for spec in specs:
-        log.info("bench cell: %s", json.dumps(spec, sort_keys=True))
-        report = _bench_cell(model, vocab, cfg, spec, cover)
-        rows.append(report)
+    for spec, cell_key in zip(specs, cell_keys):
+        log.info("bench cell: %s", cell_key)
+        rows.append(_bench_cell(model, vocab, cfg, spec, cell_key, cover))
     columns = [f.name for f in dataclasses.fields(metrics.MetricReport) if f.name not in _BENCH_OMITTED]
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("# seeds=" + json.dumps(cfg["seeds"], sort_keys=True) + "\n")

@@ -70,13 +70,12 @@ def preprocess(raw_text: str, config: PreprocessConfig | None = None) -> List[Li
 class Vocabulary:
     """Bijective id <-> surface mapping with fixed reserved ids 0..3."""
 
-    def __init__(self, tokens: Sequence[str], counts: Dict[str, int], min_count: int):
+    def __init__(self, tokens: Sequence[str], counts: Dict[str, int]):
         self.id_to_token: List[str] = list(RESERVED) + list(tokens)
         self.token_to_id: Dict[str, int] = {t: i for i, t in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise ConfigError("duplicate surface forms in vocabulary")
         self.counts = dict(counts)
-        self.min_count = min_count
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -126,8 +125,7 @@ class Vocabulary:
             counts[tok] = count
         if id_to_token[:4] != RESERVED:
             raise ConfigError(f"vocabulary file {path} lacks the reserved _pad/_unk/_bos/_eos ids")
-        vocab = cls(id_to_token[4:], counts, min_count=0)
-        return vocab
+        return cls(id_to_token[4:], counts)
 
 
 def build_vocab(sentences: Sequence[Sequence[str]], min_count: int = 10) -> Vocabulary:
@@ -147,7 +145,7 @@ def build_vocab(sentences: Sequence[Sequence[str]], min_count: int = 10) -> Voca
         (t for t, c in counts.items() if c >= min_count and t not in RESERVED),
         key=lambda t: (-counts[t], t),
     )
-    return Vocabulary(kept, counts, min_count)
+    return Vocabulary(kept, counts)
 
 
 def split(
@@ -173,6 +171,14 @@ def write_corpus(path: str, sentences: Iterable[Sequence[str]]) -> None:
             fh.write(" ".join(sent) + "\n")
 
 
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file; a file that is not UTF-8 raises ConfigError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
 def read_corpus(path: str) -> List[List[str]]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.split() for line in fh if line.strip()]
+    return [line.split() for line in read_text(path).split("\n") if line.strip()]

@@ -260,6 +260,12 @@ class NGramLM:
                 raise ModelMismatchError(f"unsupported model format in {path}")
             if doc["vocab_hash"] != vocab.content_hash():
                 raise ModelMismatchError("model file was trained against a different vocabulary")
+            vocab_size = int(doc["vocab_size"])
+            if vocab_size != len(vocab):
+                raise ModelMismatchError(f"model file {path} is for {vocab_size} tokens, the vocabulary holds {len(vocab)}")
+            unigram_counts = np.asarray(doc["unigram_counts"], dtype=np.float64)
+            if unigram_counts.shape != (vocab_size,):
+                raise ModelMismatchError(f"model file {path} does not hold one unigram count per token")
             tables: Dict[int, Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray, int]]] = {}
             for length, serial in doc["contexts"].items():
                 table = {}
@@ -267,14 +273,19 @@ class NGramLM:
                     ctx = tuple(int(x) for x in key.split(",")) if key else ()
                     arr_ids = np.asarray(ids, dtype=np.int64)
                     arr_counts = np.asarray(counts, dtype=np.float64)
+                    named = np.concatenate((np.asarray(ctx, dtype=np.int64), arr_ids))
+                    if np.any((named < 0) | (named >= vocab_size)):
+                        raise ModelMismatchError(f"model file {path} context {key!r} holds a token id outside [0, {vocab_size})")
+                    if arr_ids.shape != arr_counts.shape:
+                        raise ModelMismatchError(f"model file {path} context {key!r} holds {arr_ids.size} ids but {arr_counts.size} counts")
                     table[ctx] = (arr_ids, arr_counts, int(arr_counts.sum()))
                 tables[int(length)] = table
             return cls(
                 order=int(doc["order"]),
                 k=float(doc["k"]),
-                vocab_size=int(doc["vocab_size"]),
+                vocab_size=vocab_size,
                 vocab_hash=doc["vocab_hash"],
-                unigram_counts=np.asarray(doc["unigram_counts"], dtype=np.float64),
+                unigram_counts=unigram_counts,
                 context_tables=tables,
             )
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:

@@ -264,6 +264,21 @@ def _model_file_argv(text):
     return build
 
 
+def _edited_model_argv(edit):
+    """Embed with the trained model after ``edit`` changed its JSON document."""
+    def build(workdir, tmp_path):
+        doc = json.loads((workdir / "model.json").read_text())
+        edit(doc)
+        return _model_file_argv(json.dumps(doc))(workdir, tmp_path)
+    return build
+
+
+def _bos_successor(token_id):
+    def edit(doc):
+        doc["contexts"]["1"]["2"][0][0] = token_id  # the first successor of the BOS context
+    return edit
+
+
 def _payload_directory_argv(workdir, tmp_path):
     argv = _embed_argv(workdir, tmp_path)
     at = argv.index("--hex")
@@ -276,12 +291,28 @@ def _bench_argv(workdir, tmp_path):
             "--corpus", str(workdir / "test.txt"), "--out", str(tmp_path / "bench.csv")]
 
 
-def _metrics_acc_above_one_argv(workdir, tmp_path):
+def _metrics_argv(workdir, tmp_path):
     (tmp_path / "trace.ndjson").write_text(
         '{"record": "header", "method": "adg", "params": {}, "frame_bits": 32, "payload_bits": 0}\n'
         '{"record": "step", "token": 4, "bits": 1.0, "kld_qp": 0.1, "kld_pq": 0.2, "entropy": 1.0}\n'
     )
-    return ["metrics", "--trace", str(tmp_path / "trace.ndjson"), "--acc", "1.5"]
+    return ["metrics", "--trace", str(tmp_path / "trace.ndjson"),
+            "--stego", str(workdir / "test.txt"), "--cover", str(workdir / "test.txt")]
+
+
+def _extract_argv(workdir, tmp_path):
+    return ["extract", "--model", str(workdir / "model.json"), "--vocab", str(workdir / "vocab.tsv"),
+            "--stego", str(workdir / "test.txt"), "--hex-out"]
+
+
+def _not_utf8_argv(build_argv, flag):
+    """``build_argv``'s command with the file after ``flag`` replaced by one holding byte 0xff."""
+    def build(workdir, tmp_path):
+        (tmp_path / "not-utf8.txt").write_bytes(b"one two three four five\n\xff six\n")
+        argv = build_argv(workdir, tmp_path)
+        argv[argv.index(flag) + 1] = str(tmp_path / "not-utf8.txt")
+        return argv
+    return build
 
 
 def _vocab_without_reserved_ids_argv(workdir, tmp_path):
@@ -304,18 +335,34 @@ def _vocab_without_reserved_ids_argv(workdir, tmp_path):
         lambda w, t: ["--set", "lm.k=0"] + _train_argv(w, t),
         lambda w, t: ["--set", "lm.k=nan"] + _train_argv(w, t),
         lambda w, t: ["--set", "preprocess.split_ratio=1.5"] + _preprocess_argv(t),
-        _metrics_acc_above_one_argv,
+        lambda w, t: _metrics_argv(w, t) + ["--acc", "1.5"],
         _model_file_argv("{"),
         _model_file_argv('{"format_version":1}'),
         lambda w, t: ["--set", "lm.order=[1"] + _train_argv(w, t),
         _payload_directory_argv,
         lambda w, t: ["--set", "bench.methods=[5]"] + _bench_argv(w, t),
         lambda w, t: ["--set", "bench.methods=5"] + _bench_argv(w, t),
+        lambda w, t: ["--set", "bench.methods=[{method: adg, x: 2020-01-01}]"] + _bench_argv(w, t),
+        _edited_model_argv(_bos_successor(99999)),
+        _edited_model_argv(_bos_successor(-3)),
+        _edited_model_argv(lambda doc: doc.update(vocab_size=5)),
+        _edited_model_argv(lambda doc: doc["contexts"]["1"].update({"99999": doc["contexts"]["1"].pop("2")})),
+        _not_utf8_argv(_extract_argv, "--stego"),
+        _not_utf8_argv(_train_argv, "--corpus"),
+        _not_utf8_argv(_bench_argv, "--corpus"),
+        _not_utf8_argv(_metrics_argv, "--stego"),
+        _not_utf8_argv(_metrics_argv, "--cover"),
+        _not_utf8_argv(lambda w, t: _preprocess_argv(t), "--in"),
+        _not_utf8_argv(lambda w, t: ["--config", "", "toy-corpus"], "--config"),
     ],
     ids=["ragged-frame", "unknown-method", "bins-b-zero", "min-len-not-int", "vocab-without-reserved-ids",
          "lm-order-not-int", "lm-order-one", "lm-k-zero", "lm-k-nan", "split-ratio-above-one",
          "metrics-acc-above-one", "model-not-json", "model-without-fields", "set-value-not-yaml",
-         "payload-is-a-directory", "bench-method-not-mapping", "bench-methods-not-list"],
+         "payload-is-a-directory", "bench-method-not-mapping", "bench-methods-not-list",
+         "bench-method-value-not-json", "model-successor-id-past-vocab", "model-successor-id-negative",
+         "model-vocab-size-wrong", "model-context-id-past-vocab", "stego-not-utf8", "train-corpus-not-utf8",
+         "bench-corpus-not-utf8", "metrics-stego-not-utf8", "metrics-cover-not-utf8", "preprocess-in-not-utf8",
+         "config-not-utf8"],
 )
 def test_bad_input_exits_with_one_error_line(workdir, tmp_path, caplog, build_argv):
     argv = build_argv(workdir, tmp_path)

@@ -14,7 +14,7 @@ from adgstego.corpus import (
     split,
     write_corpus,
 )
-from adgstego.errors import EmptyCorpusError
+from adgstego.errors import ConfigError, EmptyCorpusError
 
 
 def test_preprocess_strips_tags_case_and_punctuation():
@@ -121,6 +121,21 @@ def test_corpus_file_round_trip(tmp_path):
     path = tmp_path / "corpus.txt"
     write_corpus(str(path), sents)
     assert read_corpus(str(path)) == sents
+
+
+def test_read_corpus_splits_lines_as_text_mode_iteration_does(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes("a b\r\nc\rd\x0ce\n\n  \n\xe9 f\x85g\u2028h".encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        expected = [line.split() for line in fh if line.strip()]
+    assert read_corpus(str(path)) == expected == [["a", "b"], ["c"], ["d", "e"], ["\xe9", "f", "g", "h"]]
+
+
+def test_read_corpus_of_non_utf8_file_names_it(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"caf\xe9 au lait\n")
+    with pytest.raises(ConfigError, match="latin1.txt is not UTF-8"):
+        read_corpus(str(path))
 
 
 def test_bundled_corpus_is_usable(toy_sentences, vocab):

@@ -1,6 +1,7 @@
 """Quantization, the n-gram model and the external provider protocol."""
 
 import io
+import json
 import math
 import random
 import sys
@@ -192,6 +193,30 @@ def test_model_load_rejects_other_vocab(tmp_path):
     model.save(str(path))
     with pytest.raises(ModelMismatchError):
         NGramLM.load(str(path), other)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("vocab_size", 99), ("unigram_counts", [1.0, 2.0]), ("successor", 99), ("successor", -3), ("context", 99),
+     ("counts", [1.0, 2.0])],
+)
+def test_model_load_rejects_ids_outside_the_vocabulary(tmp_path, field, value):
+    vocab, model = _tiny_model()
+    path = tmp_path / "model.json"
+    model.save(str(path))
+    doc = json.loads(path.read_text())
+    bigrams = doc["contexts"]["1"]
+    if field == "successor":
+        bigrams[str(BOS_ID)][0][0] = value
+    elif field == "context":
+        bigrams[str(value)] = bigrams.pop(str(BOS_ID))
+    elif field == "counts":
+        bigrams[str(BOS_ID)][1] = value
+    else:
+        doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelMismatchError):
+        NGramLM.load(str(path), vocab)
 
 
 FAKE_PROVIDER = textwrap.dedent(

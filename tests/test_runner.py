@@ -1,6 +1,7 @@
 """Generation loop: length constraints, capacity limits, traces, caching."""
 
 import io
+import math
 import random
 from datetime import timedelta
 
@@ -18,6 +19,7 @@ from adgstego.runner import (
     EmbedTrace,
     GenerationConfig,
     StepRecord,
+    _step_stats,
     embed_text,
     extract_text,
     mask_eos_min,
@@ -170,3 +172,51 @@ def test_extract_of_hostile_text_returns_bits_or_a_stego_error(provider, vocab, 
     except StegoError:
         return
     assert set(bits) <= {0, 1}
+
+
+STEP_Q_CODECS = [
+    ("adg", {}),
+    ("arithmetic", {"h": 300}),
+    ("bins", {"b": 5}),
+    ("huffman", {"k": 5}),
+    ("patient_huffman", {"k": 3, "delta": 0.0}),  # every step samples from p
+    ("patient_huffman", {"k": 3, "delta": math.inf}),  # every step is Huffman coded
+]
+
+
+def _zipf4096() -> ConditionalDistribution:
+    """A Zipf(1.1)-shaped distribution over 4,096 of 50,257 ids."""
+    ids = np.random.default_rng(4096).choice(50_257, size=4096, replace=False)
+    probs = 1.0 / np.arange(1, 4097, dtype=np.float64) ** 1.1
+    return ConditionalDistribution.from_probs(ids, probs / probs.sum())
+
+
+def reference_step_stats(dist, q_by_id):
+    """KL(q||p), KL(p||q) and H(p) in bits, pairing q and p by token id, summed exactly."""
+    p_by_id = dict(zip(dist.token_ids.tolist(), dist.probs().tolist()))
+    qp = math.fsum(q * math.log2(q / p_by_id[t]) for t, q in q_by_id.items())
+    pq = math.inf
+    if q_by_id.keys() == p_by_id.keys():
+        pq = math.fsum(p * math.log2(p / q_by_id[t]) for t, p in p_by_id.items())
+    return qp, pq, -math.fsum(p * math.log2(p) for p in p_by_id.values())
+
+
+@pytest.mark.parametrize("method, params", STEP_Q_CODECS,
+                         ids=["adg", "arithmetic", "bins", "huffman", "patient-sampled", "patient-huffman"])
+@pytest.mark.parametrize("source", ["bundled", "zipf4096"])
+def test_step_q_positions_and_step_stats(model, method, params, source):
+    if source == "bundled":
+        dist, vocab_size = model.next_distribution([BOS_ID]), model.vocab_size
+    else:
+        dist, vocab_size = _zipf4096(), 50_257
+    codec = make_codec(method, vocab_size, **params)
+    positions, probs = codec.step_q(dist)
+    assert positions.dtype.kind == "i" and positions.shape == probs.shape
+    assert np.unique(positions).size == positions.size
+    assert 0 <= positions.min() and positions.max() < len(dist)
+    assert np.all(probs > 0) and abs(math.fsum(probs) - 1.0) <= 1e-12
+    ids = dist.token_ids[positions].tolist()
+    if "k" in params and params.get("delta") != 0.0:  # a Huffman codeword per token
+        assert probs.tolist() == [2.0 ** -len(codec.extract_step(dist, t)) for t in ids]
+    expected = reference_step_stats(dist, dict(zip(ids, probs.tolist())))
+    assert _step_stats(dist, positions, probs) == pytest.approx(expected, rel=0, abs=1e-12)
