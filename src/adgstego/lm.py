@@ -262,7 +262,7 @@ class NGramLM:
                 raise ModelMismatchError("model file was trained against a different vocabulary")
             vocab_size = int(doc["vocab_size"])
             if vocab_size != len(vocab):
-                raise ModelMismatchError(f"model file {path} is for {vocab_size} tokens, the vocabulary holds {len(vocab)}")
+                raise ModelMismatchError(f"model file {path} is for {vocab_size} tokens, not {len(vocab)}")
             unigram_counts = np.asarray(doc["unigram_counts"], dtype=np.float64)
             if unigram_counts.shape != (vocab_size,):
                 raise ModelMismatchError(f"model file {path} does not hold one unigram count per token")
@@ -275,9 +275,11 @@ class NGramLM:
                     arr_counts = np.asarray(counts, dtype=np.float64)
                     named = np.concatenate((np.asarray(ctx, dtype=np.int64), arr_ids))
                     if np.any((named < 0) | (named >= vocab_size)):
-                        raise ModelMismatchError(f"model file {path} context {key!r} holds a token id outside [0, {vocab_size})")
+                        raise ModelMismatchError(
+                            f"model file {path} context {key!r} holds a token id outside [0, {vocab_size})")
                     if arr_ids.shape != arr_counts.shape:
-                        raise ModelMismatchError(f"model file {path} context {key!r} holds {arr_ids.size} ids but {arr_counts.size} counts")
+                        raise ModelMismatchError(
+                            f"model file {path} context {key!r} holds {arr_ids.size} ids but {arr_counts.size} counts")
                     table[ctx] = (arr_ids, arr_counts, int(arr_counts.sum()))
                 tables[int(length)] = table
             return cls(
