@@ -26,11 +26,14 @@ The greedy is resumable.  It runs as one generator per node, paused after
 each group, and a node forms groups only as far as a request needs:
 embedding stops after the selected group, extraction once the observed
 token is placed, so neither forms the groups past the one it recurses
-into.  Group ``g`` is the front's range ``[stops[g-1], stops[g])``
-without its holes, plus the holes ``g`` picked.  Running the greedy to
-the end (``_Node.groups``, which ``equal_group`` and ``implicit_q`` use)
-builds every group at once from a label array filled from the stops and
-the hole labels, with one stable argsort.
+into.  The greedy records its decisions in one label table aligned with
+the node's members: placing a member writes its group, and every member
+starts labelled ``u - 1``, the last group, which takes whatever the
+greedy leaves.  Group ``g`` is the members labelled ``g``, and a member's
+label is final once the groups up to it are formed.  Forming a group,
+locating a member and building every group at once (``_Node.groups``,
+which ``equal_group`` and ``implicit_q`` use, with one stable argsort)
+all read that table.
 
 One node type, :class:`_Node`, is both a group that ``equal_group``
 returns and a level of the grouping tree: a node's own groups are its
@@ -100,14 +103,14 @@ def equal_group(token_ids: Sequence[int], masses: Sequence[int], u: int) -> List
     return _Node(ids[desc], m[desc], int(m.sum()), u).groups()
 
 
-def _greedy(m: np.ndarray, u: int, stops: List[int], totals: List[int], holes: List[int], owner: Dict[int, int]):
+def _greedy(m: np.ndarray, u: int, label: array, totals: List[int]):
     """Equal grouping's greedy over the mass-desc masses ``m``, paused after each group.
 
-    Group g ends with ``stops[g]`` (the front) and ``totals[g]``; the last
-    group's stop is ``n``.  A nearest-mass pick goes into the sorted
-    ``holes`` and into ``owner`` (hole -> group).  The generator yields
-    after each of groups ``0..u-2`` and returns once the last group is
-    recorded, which frees its buffers.
+    Placing member i in group g sets ``label[i] = g``; ``label`` starts at
+    ``u - 1`` throughout, so the last group's members need no store.  Group
+    g's mass is ``totals[g]``.  The generator yields after each of groups
+    ``0..u-2`` and returns once the last group is recorded, which frees its
+    buffers.
     """
     n = m.size
     # Typed buffers: copied in O(n) without making a Python int per element.
@@ -117,6 +120,7 @@ def _greedy(m: np.ndarray, u: int, stops: List[int], totals: List[int], holes: L
     # The dead indices are [0, front) and the sorted holes.  Union-find
     # pointers over the holes alone skip them: an index with no pointer is
     # alive if it lies in [front, n).
+    holes: List[int] = []
     nxt: Dict[int, int] = {}  # hole -> a later index
     prv: Dict[int, int] = {}  # hole -> an earlier index
 
@@ -130,6 +134,7 @@ def _greedy(m: np.ndarray, u: int, stops: List[int], totals: List[int], holes: L
         if front >= n:
             raise StegoError("ran out of tokens while forming groups")
         gmass = -neg[front]  # the head: the largest alive token
+        label[front] = g
         front += 1
         while gmass * slots < remaining:
             # The gap is eps = eps_num / slots; a mass reaches it iff >= ceil(eps).
@@ -145,6 +150,7 @@ def _greedy(m: np.ndarray, u: int, stops: List[int], totals: List[int], holes: L
                 h = bisect_right(holes, front)  # the next hole, if any, ends the run
                 stop = min([bisect_left(prefix, prefix[front] + ceil_eps) - 1, *holes[h : h + 1]])
                 gmass += prefix[stop] - prefix[front]
+                label[front:stop] = array("i", [g]) * (stop - front)
                 front = stop
                 continue
             # Nearest to the gap: the largest mass below it or the smallest
@@ -162,15 +168,13 @@ def _greedy(m: np.ndarray, u: int, stops: List[int], totals: List[int], holes: L
                 break
             nxt[cand], prv[cand] = cand + 1, cand - 1
             insort(holes, cand)
-            owner[cand] = g
+            label[cand] = g
             gmass += cand_mass
         remaining -= gmass
-        stops.append(front)
         totals.append(gmass)
         yield
     if _skip(nxt, front) >= n:
         raise StegoError("equal grouping left the final group empty")
-    stops.append(n)
     totals.append(remaining)
 
 
@@ -188,15 +192,15 @@ class _Node:
     forms groups until member ``i`` is placed; ``groups()`` runs the greedy
     to the end and builds every child.  Children are cached, so repeated
     embedding and extraction against one distribution share one tree.
-    Once the greedy ends its typed buffers and union-find pointers are
-    freed; the stops and hole labels stay to answer ``locate``.  Each
-    answer is memoized in two int32 tables aligned with the members (the
-    member's group and its index inside that group), so a repeated lookup
-    is one array read.
+    The greedy writes each member's group into the int32 table ``_label``
+    as it places the member, and all three read it.  Once the greedy ends
+    its typed buffers and union-find pointers are freed; the labels stay.
+    ``locate`` memoizes each member's index inside its group in a second
+    int32 table, so a repeated lookup is two array reads.
     """
 
-    __slots__ = ("token_ids", "masses", "total_mass", "u", "_children", "_greedy", "_stops", "_totals",
-                 "_holes", "_owner", "_group_of", "_index_in", "_cumsum", "_member_ids")
+    __slots__ = ("token_ids", "masses", "total_mass", "u", "_children", "_greedy", "_label", "_totals",
+                 "_index_in", "_cumsum", "_member_ids")
 
     def __init__(self, token_ids: np.ndarray, masses: np.ndarray, total_mass: int, u: Optional[int] = None):
         self.token_ids = token_ids
@@ -207,23 +211,20 @@ class _Node:
             u = group_count(int(masses[0]), total_mass)
         self.u = u
         self._children: Dict[int, _Node] = {}
-        self._group_of: Optional[array] = None
         self._index_in: Optional[array] = None
         self._cumsum: Optional[np.ndarray] = None
         self._member_ids: Optional[np.ndarray] = None
         if self.u > 1:
-            self._stops: List[int] = []
+            self._label = array("i", [u - 1]) * len(token_ids)
             self._totals: List[int] = []
-            self._holes: List[int] = []
-            self._owner: Dict[int, int] = {}
-            self._greedy = _greedy(masses, self.u, self._stops, self._totals, self._holes, self._owner)
+            self._greedy = _greedy(masses, u, self._label, self._totals)
 
     def _form(self, g: int) -> None:
         """Run the greedy until group ``g`` is formed."""
-        stops = self._stops
-        if len(stops) <= g:
+        totals = self._totals
+        if len(totals) <= g:
             for _ in self._greedy:
-                if len(stops) > g:
+                if len(totals) > g:
                     break
 
     def groups(self) -> List["_Node"]:
@@ -231,10 +232,7 @@ class _Node:
         if len(children) < u:
             self._form(u - 1)
             # Group members keep the mass-desc order: a stable sort by label.
-            n = len(self.token_ids)
-            label = np.bincount(self._stops[:-1], minlength=n).cumsum()  # the number of stops at or below each index
-            if self._owner:
-                label[list(self._owner)] = list(self._owner.values())
+            label = np.frombuffer(self._label, np.intc)
             order = np.argsort(label, kind="stable")
             g_ids, g_masses = self.token_ids[order], self.masses[order]
             ends = np.bincount(label, minlength=u).cumsum().tolist()
@@ -247,50 +245,26 @@ class _Node:
         node = self._children.get(g)
         if node is None:
             self._form(g)
-            stops, holes, owner = self._stops, self._holes, self._owner
-            lo, hi = stops[g - 1] if g else 0, stops[g]
-            # Group g is [lo, hi) without the holes there, plus the holes it picked (all past lo).
-            a = bisect_left(holes, lo)
-            gaps = holes[a : bisect_left(holes, hi)]
-            own = [h for h in holes[a:] if owner[h] == g]
-            if gaps or own:
-                keep = np.ones(hi - lo, dtype=bool)
-                keep[np.asarray(gaps, dtype=np.int64) - lo] = False
-                index = np.flatnonzero(keep) + lo
-                if own:
-                    index = np.sort(np.concatenate((index, own)))
-            else:
-                index = slice(lo, hi)
+            index = np.flatnonzero(np.frombuffer(self._label, np.intc) == g)
             node = self._children[g] = _Node(self.token_ids[index], self.masses[index], self._totals[g])
         return node
 
     def locate(self, i: int) -> Tuple[int, int]:
         """The group holding member ``i`` and the member's index inside that group."""
-        group_of = self._group_of
-        if group_of is None:
-            n = len(self.token_ids)
-            group_of = self._group_of = array("i", [-1]) * n
-            self._index_in = array("i", bytes(4 * n))
-        g = group_of[i]
-        if g >= 0:
-            return g, self._index_in[i]
-        stops, holes, owner = self._stops, self._holes, self._owner
-        # Member i is placed once it lies below the front or is a hole.
-        if i not in owner and (not stops or i >= stops[-1]):
-            for _ in self._greedy:
-                if i in owner or i < stops[-1]:
-                    break
-        g = owner.get(i)
-        if g is None:
-            g = bisect_right(stops, i)
-        # The members of group g below i: [lo, min(i, hi)) without its holes, and g's holes below i.
-        lo = stops[g - 1] if g else 0
-        a = bisect_left(holes, lo)
-        x = min(i, stops[g])
-        k = x - lo - bisect_left(holes, x) + a + sum(owner[h] == g for h in holes[a : bisect_left(holes, i)])
-        group_of[i] = g
-        self._index_in[i] = k
-        return g, k
+        label, index_in = self._label, self._index_in
+        if index_in is None:
+            index_in = self._index_in = array("i", [-1]) * len(label)
+        k = index_in[i]
+        if k < 0:
+            # Member i's group is formed once the groups up to its label are:
+            # a member still labelled u - 1 is unplaced or in the last group.
+            totals = self._totals
+            if len(totals) <= label[i]:
+                for _ in self._greedy:
+                    if len(totals) > label[i]:
+                        break
+            k = index_in[i] = label[:i].count(label[i])
+        return label[i], k
 
     def sample(self, rng: random.Random, dist_token_ids: np.ndarray) -> int:
         """A token drawn in proportion to its mass; the node holds positions into ``dist_token_ids``."""

@@ -270,5 +270,5 @@ def test_child_zero_leaves_the_last_group_unformed():
     tail = root.child(root.u - 1)
     assert tail.u == 256 and len(tail.token_ids) > 3_800
     first = tail.child(0)
-    assert len(tail._stops) < tail.u  # the last group's stop is recorded only when the greedy ends
+    assert len(tail._totals) < tail.u  # the last group's total is recorded only when the greedy ends
     assert_same_group(first, oracle_equal_group(tail.token_ids, tail.masses, tail.u)[0])
