@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, List, Sequence
 
-from .errors import TruncationError
+from .errors import ConfigError, TruncationError
 
 HEADER_BITS = 32
 MAX_PAYLOAD_BITS = (1 << 32) - 1
@@ -73,9 +73,11 @@ class BitMessage:
 
 def frame(payload: "bytes | Sequence[int]") -> BitMessage:
     """Wrap a payload (bytes or raw bits) into a framed message, cursor at 0."""
-    bits = bytes_to_bits(payload) if isinstance(payload, (bytes, bytearray)) else [b & 1 for b in payload]
-    if len(bits) > MAX_PAYLOAD_BITS:
-        raise ValueError(f"payload of {len(bits)} bits exceeds the 32-bit frame header")
+    packed = isinstance(payload, (bytes, bytearray))
+    size = 8 * len(payload) if packed else len(payload)
+    if size > MAX_PAYLOAD_BITS:
+        raise ConfigError(f"payload of {size} bits exceeds the 32-bit frame header")
+    bits = bytes_to_bits(payload) if packed else [b & 1 for b in payload]
     header = [(len(bits) >> shift) & 1 for shift in range(HEADER_BITS - 1, -1, -1)]
     return BitMessage(header + bits)
 

@@ -266,6 +266,9 @@ class NGramLM:
             unigram_counts = np.asarray(doc["unigram_counts"], dtype=np.float64)
             if unigram_counts.shape != (vocab_size,):
                 raise ModelMismatchError(f"model file {path} does not hold one unigram count per token")
+            order, k = int(doc["order"]), float(doc["k"])
+            if order < 2 or not 0 < k < math.inf:
+                raise ModelMismatchError(f"model file {path} needs order >= 2 and 0 < k < inf, not {order} and {k}")
             tables: Dict[int, Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray, int]]] = {}
             for length, serial in doc["contexts"].items():
                 table = {}
@@ -283,8 +286,8 @@ class NGramLM:
                     table[ctx] = (arr_ids, arr_counts, int(arr_counts.sum()))
                 tables[int(length)] = table
             return cls(
-                order=int(doc["order"]),
-                k=float(doc["k"]),
+                order=order,
+                k=k,
                 vocab_size=vocab_size,
                 vocab_hash=doc["vocab_hash"],
                 unigram_counts=unigram_counts,

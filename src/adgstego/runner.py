@@ -93,6 +93,25 @@ class StepRecord:
     entropy: Optional[float] = None
 
 
+# The type of each field that EmbedTrace.save writes; a step omits its None fields.
+_TRACE_FIELD_TYPES = {"method": str, "params": dict, "frame_bits": int, "payload_bits": int, "token": int,
+                      "bits": (int, float), "kld_qp": (int, float), "kld_pq": (int, float), "entropy": (int, float),
+                      "forced": bool, "group_sizes": list}
+
+
+def _wrong_type(value, kind) -> bool:
+    """Whether ``value`` is not a ``kind``; a bool counts only as a bool."""
+    return not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
+
+
+def _check_trace_record(path: str, record: Dict) -> None:
+    """Raise ConfigError naming ``path`` if a field of ``record`` has a type save never writes."""
+    for key, value in record.items():
+        kind = _TRACE_FIELD_TYPES.get(key)
+        if kind is not None and (_wrong_type(value, kind) or kind is list and any(_wrong_type(v, int) for v in value)):
+            raise ConfigError(f"trace file {path} has {key} {value!r} of the wrong type")
+
+
 @dataclass
 class EmbedTrace:
     method: str
@@ -126,6 +145,7 @@ class EmbedTrace:
                 header = json.loads(fh.readline())
                 if not isinstance(header, dict) or header.get("record") != "header":
                     raise ConfigError(f"trace file {path} lacks a header record")
+                _check_trace_record(path, header)
                 trace = cls(**{f.name: header[f.name] for f in fields(cls) if f.name != "steps"})
                 for line in fh:
                     if not line.strip():
@@ -133,6 +153,7 @@ class EmbedTrace:
                     row = json.loads(line)
                     if not isinstance(row, dict) or row.pop("record", None) != "step":
                         raise ConfigError(f"trace file {path} holds a line that is not a step record")
+                    _check_trace_record(path, row)
                     trace.steps.append(StepRecord(**row))
             except (KeyError, TypeError, json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"trace file {path} is not a trace: {exc!r}") from exc

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from adgstego import bitio
 from adgstego.bitio import (
     HEADER_BITS,
     BitMessage,
@@ -16,7 +17,7 @@ from adgstego.bitio import (
     index_to_bits,
     next_index,
 )
-from adgstego.errors import TruncationError
+from adgstego.errors import ConfigError, TruncationError
 
 
 @given(st.binary(max_size=64))
@@ -69,6 +70,14 @@ def test_header_is_big_endian_bit_count():
     msg = frame([1, 0, 1])
     header = msg.bits[:HEADER_BITS]
     assert header == [0] * (HEADER_BITS - 2) + [1, 1]  # 3
+
+
+def test_frame_checks_the_payload_size_before_expanding_it(monkeypatch):
+    monkeypatch.setattr(bitio, "MAX_PAYLOAD_BITS", 15)
+    for payload in (b"ab", [1] * 16):
+        with pytest.raises(ConfigError):
+            frame(payload)
+    assert deframe(frame(b"a").bits) == bytes_to_bits(b"a")
 
 
 def test_read_bit_pads_uniformly_and_deterministically():

@@ -291,6 +291,18 @@ def _bench_argv(workdir, tmp_path):
             "--corpus", str(workdir / "test.txt"), "--out", str(tmp_path / "bench.csv")]
 
 
+def _trace_argv(header=None, step=None):
+    """``metrics --trace`` on a valid one-step trace, with ``header`` and ``step`` fields overridden."""
+    def build(workdir, tmp_path):
+        rows = [{"record": "header", "method": "adg", "params": {}, "frame_bits": 32, "payload_bits": 0,
+                 **(header or {})},
+                {"record": "step", "token": 4, "bits": 1.0, "kld_qp": 0.1, "kld_pq": 0.2, "entropy": 1.0,
+                 **(step or {})}]
+        (tmp_path / "trace.ndjson").write_text("".join(json.dumps(row) + "\n" for row in rows))
+        return ["metrics", "--trace", str(tmp_path / "trace.ndjson")]
+    return build
+
+
 def _metrics_argv(workdir, tmp_path):
     (tmp_path / "trace.ndjson").write_text(
         '{"record": "header", "method": "adg", "params": {}, "frame_bits": 32, "payload_bits": 0}\n'
@@ -347,6 +359,11 @@ def _vocab_without_reserved_ids_argv(workdir, tmp_path):
         _edited_model_argv(_bos_successor(-3)),
         _edited_model_argv(lambda doc: doc.update(vocab_size=5)),
         _edited_model_argv(lambda doc: doc["contexts"]["1"].update({"99999": doc["contexts"]["1"].pop("2")})),
+        _edited_model_argv(lambda doc: doc.update(order=1)),
+        _edited_model_argv(lambda doc: doc.update(k=0)),
+        _trace_argv(step={"bits": "x"}),
+        _trace_argv(header={"payload_bits": "abc"}),
+        _trace_argv(step={"kld_pq": [1]}),
         _not_utf8_argv(_extract_argv, "--stego"),
         _not_utf8_argv(_train_argv, "--corpus"),
         _not_utf8_argv(_bench_argv, "--corpus"),
@@ -360,9 +377,10 @@ def _vocab_without_reserved_ids_argv(workdir, tmp_path):
          "metrics-acc-above-one", "model-not-json", "model-without-fields", "set-value-not-yaml",
          "payload-is-a-directory", "bench-method-not-mapping", "bench-methods-not-list",
          "bench-method-value-not-json", "model-successor-id-past-vocab", "model-successor-id-negative",
-         "model-vocab-size-wrong", "model-context-id-past-vocab", "stego-not-utf8", "train-corpus-not-utf8",
-         "bench-corpus-not-utf8", "metrics-stego-not-utf8", "metrics-cover-not-utf8", "preprocess-in-not-utf8",
-         "config-not-utf8"],
+         "model-vocab-size-wrong", "model-context-id-past-vocab", "model-order-one", "model-k-zero",
+         "trace-bits-not-number", "trace-payload-bits-not-int", "trace-kld-not-number", "stego-not-utf8",
+         "train-corpus-not-utf8", "bench-corpus-not-utf8", "metrics-stego-not-utf8", "metrics-cover-not-utf8",
+         "preprocess-in-not-utf8", "config-not-utf8"],
 )
 def test_bad_input_exits_with_one_error_line(workdir, tmp_path, caplog, build_argv):
     argv = build_argv(workdir, tmp_path)

@@ -219,6 +219,18 @@ def test_model_load_rejects_ids_outside_the_vocabulary(tmp_path, field, value):
         NGramLM.load(str(path), vocab)
 
 
+@pytest.mark.parametrize("field, value", [("order", 1), ("k", 0), ("k", -0.5), ("k", math.inf)])
+def test_model_load_rejects_order_below_two_and_k_outside_the_positive_reals(tmp_path, field, value):
+    vocab, model = _tiny_model()
+    path = tmp_path / "model.json"
+    model.save(str(path))
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))  # inf is written as Infinity, which json reads back
+    with pytest.raises(ModelMismatchError, match="model.json"):
+        NGramLM.load(str(path), vocab)
+
+
 FAKE_PROVIDER = textwrap.dedent(
     """
     import json, sys
