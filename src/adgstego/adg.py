@@ -32,8 +32,9 @@ starts labelled ``u - 1``, the last group, which takes whatever the
 greedy leaves.  Group ``g`` is the members labelled ``g``, and a member's
 label is final once the groups up to it are formed.  Forming a group,
 locating a member and building every group at once (``_Node.groups``,
-which ``equal_group`` and ``implicit_q`` use, with one stable argsort)
-all read that table.
+which ``equal_group`` uses, with one stable argsort) all read that table.
+The greedy also records each group's head, its first and largest member,
+so a group's own ``u`` is known without building the group.
 
 One node type, :class:`_Node`, is both a group that ``equal_group``
 returns and a level of the grouping tree: a node's own groups are its
@@ -47,6 +48,12 @@ group's renormalized maximum exceeds one half, then samples a token within
 the final group.  Extraction replays the recursion, at each level taking
 the group that holds the observed token, and carries the token's index
 among the node's members down the tree.
+
+``implicit_q`` needs every group's probability, so it runs the greedy to
+the end, but on internal nodes only: a group whose head tells that it is
+a leaf (``u < 2``) or ``u`` singletons is written into q at once, with
+its node's other such groups, and only the groups that split further
+are sliced out and grouped in turn.
 """
 
 from __future__ import annotations
@@ -103,12 +110,13 @@ def equal_group(token_ids: Sequence[int], masses: Sequence[int], u: int) -> List
     return _Node(ids[desc], m[desc], int(m.sum()), u).groups()
 
 
-def _greedy(m: np.ndarray, u: int, label: array, totals: List[int]):
+def _greedy(m: np.ndarray, u: int, label: array, totals: List[int], heads: List[int]):
     """Equal grouping's greedy over the mass-desc masses ``m``, paused after each group.
 
     Placing member i in group g sets ``label[i] = g``; ``label`` starts at
     ``u - 1`` throughout, so the last group's members need no store.  Group
-    g's mass is ``totals[g]``.  The generator yields after each of groups
+    g's mass is ``totals[g]`` and its head, its first and so its largest
+    member, is ``heads[g]``.  The generator yields after each of groups
     ``0..u-2`` and returns once the last group is recorded, which frees its
     buffers.
     """
@@ -133,6 +141,7 @@ def _greedy(m: np.ndarray, u: int, label: array, totals: List[int]):
         front = _skip(nxt, front)
         if front >= n:
             raise StegoError("ran out of tokens while forming groups")
+        heads.append(front)
         gmass = -neg[front]  # the head: the largest alive token
         label[front] = g
         front += 1
@@ -173,8 +182,10 @@ def _greedy(m: np.ndarray, u: int, label: array, totals: List[int]):
         remaining -= gmass
         totals.append(gmass)
         yield
-    if _skip(nxt, front) >= n:
+    front = _skip(nxt, front)  # the last group's head
+    if front >= n:
         raise StegoError("equal grouping left the final group empty")
+    heads.append(front)
     totals.append(remaining)
 
 
@@ -194,7 +205,8 @@ class _Node:
     embedding and extraction against one distribution share one tree.
     The greedy writes each member's group into the int32 table ``_label``
     as it places the member, and all three read it.  Once the greedy ends
-    its typed buffers and union-find pointers are freed; the labels stay.
+    its typed buffers, union-find pointers and group heads are freed; the
+    labels stay.  ``implicit_q`` runs the greedy without building nodes.
     ``locate`` memoizes each member's index inside its group in a second
     int32 table, so a repeated lookup is two array reads.
     """
@@ -217,7 +229,7 @@ class _Node:
         if self.u > 1:
             self._label = array("i", [u - 1]) * len(token_ids)
             self._totals: List[int] = []
-            self._greedy = _greedy(masses, u, self._label, self._totals)
+            self._greedy = _greedy(masses, u, self._label, self._totals, [])
 
     def _form(self, g: int) -> None:
         """Run the greedy until group ``g`` is formed."""
@@ -332,33 +344,48 @@ def implicit_q(dist: ConditionalDistribution) -> np.ndarray:
     level contributes a factor ``1/u`` for its group, and the final group
     contributes the token's renormalized mass.
     """
-    # Its own walk over the tree's node type, from a fresh root, so the tree
-    # caches only what embedding and extraction built: walking the cached
-    # tree instead kept ~20x the memory alive and ran slower.  Positions are
-    # already in grouping order, so the nodes group them without a sort.
-    q = np.zeros(len(dist), dtype=np.float64)
-    root = _Node(np.arange(len(dist), dtype=np.int64), dist.masses, dist.denominator)
-    stack: List[Tuple[_Node, float]] = [(root, 1.0)]
-    leaves: List[Tuple[_Node, float]] = []
+    # Its own walk over positions, not the cached tree, so the tree holds
+    # only what embedding and extraction built.  Only internal nodes are
+    # grouped: a group's u follows from its head mass and total, so each
+    # node writes its leaf groups straight into q.  The root is the one
+    # group of a trivial grouping.
+    n = len(dist)
+    q = np.zeros(n, dtype=np.float64)
+    stack: List[Tuple[np.ndarray, np.ndarray, int, float]] = []
+    _place_groups(q, stack, np.arange(n, dtype=np.int64), dist.masses,
+                  np.zeros(n, dtype=np.intc), [dist.denominator], [0], 1.0)
     while stack:
-        node, scale = stack.pop()
-        u = node.u
-        if u < 2:
-            leaves.append((node, scale))
-        elif u == len(node.token_ids):
-            # All groups are singletons, each reached with probability 1/u.
-            q[node.token_ids] += scale / u
-        else:
-            child_scale = scale / u
-            stack.extend((g, child_scale) for g in node.groups())
-    if leaves:
-        # Each position sits in one leaf; all leaves take the same float steps at once.
-        sizes = [len(node.token_ids) for node, _ in leaves]
-        masses = np.concatenate([node.masses for node, _ in leaves]).astype(np.float64)
-        totals = np.repeat([node.total_mass for node, _ in leaves], sizes)
-        scales = np.repeat([scale for _, scale in leaves], sizes)
-        q[np.concatenate([node.token_ids for node, _ in leaves])] = scales * (masses / totals)
+        positions, masses, u, scale = stack.pop()
+        label = array("i", [u - 1]) * len(positions)
+        totals: List[int] = []
+        heads: List[int] = []
+        for _ in _greedy(masses, u, label, totals, heads):
+            pass
+        _place_groups(q, stack, positions, masses, np.frombuffer(label, np.intc), totals, heads, scale / u)
     return q
+
+
+def _place_groups(q, stack, positions, masses, label, totals, heads, scale) -> None:
+    """Write a node's leaf groups into ``q`` and push its internal groups, each reached with ``scale``.
+
+    A leaf (``u < 2``) contributes ``scale`` times each member's mass over
+    its group's total; a group of ``u`` singletons ``scale / u`` each.
+    """
+    tot = np.asarray(totals, dtype=np.int64)
+    us = [group_count(h, t) for h, t in zip(masses[heads].tolist(), totals)]
+    if max(us) < 2:
+        q[positions] = scale * (masses / tot[label])
+        return
+    us = np.asarray(us, dtype=np.int64)
+    leaf = us < 2
+    flat = ~leaf & (us == np.bincount(label, minlength=len(us)))  # u singletons: 1/u each
+    at = leaf[label]
+    q[positions[at]] = scale * (masses[at] / tot[label[at]])
+    at = flat[label]
+    q[positions[at]] = scale / us[label[at]]
+    for g in np.flatnonzero(~(leaf | flat)).tolist():
+        at = np.flatnonzero(label == g)
+        stack.append((positions[at], masses[at], int(us[g]), scale))
 
 
 class ADGCodec(runner.Codec):

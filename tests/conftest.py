@@ -9,8 +9,9 @@ import pytest
 
 from adgstego import CachedProvider, build_vocab, preprocess, split, train_ngram
 from adgstego.bundled import toy_corpus_path
-from adgstego.corpus import PreprocessConfig
+from adgstego.corpus import BOS_ID, EOS_ID, PreprocessConfig
 from adgstego.lm import ConditionalDistribution, quantize
+from adgstego.runner import mask_eos_min
 
 # Environment for tests that launch ``python -m adgstego.cli``: the child
 # imports this checkout's package whether or not PYTHONPATH is set.
@@ -61,3 +62,21 @@ def random_distribution(rng: random.Random, size: int) -> ConditionalDistributio
     total = sum(weights)
     probs = np.asarray([w / total for w in weights])
     return ConditionalDistribution(np.arange(size, dtype=np.int64), quantize(probs))
+
+
+def bos_successors(model, count: int):
+    """The model's distributions after BOS and ``count`` evenly spaced words, each as is and EOS-masked."""
+    words = range(EOS_ID + 1, model.vocab_size, max(1, (model.vocab_size - EOS_ID - 1) // count))
+    dists = [model.next_distribution([BOS_ID, w]) for w in words[:count]]
+    return [d for dist in dists for d in (dist, mask_eos_min(dist))]
+
+
+def zipf4096_eos_first(eos: float, seed: int) -> ConditionalDistribution:
+    """The cold benchmark's shape: EOS first, then a Zipf(1.1) profile on 4,095 random ids of 50,257."""
+    shape = np.arange(1, 4096, dtype=np.float64) ** -1.1
+    probs = np.concatenate(([eos], shape / shape.sum() * (1.0 - eos)))
+    ids = np.empty(4096, dtype=np.int64)
+    ids[0] = EOS_ID
+    others = np.delete(np.arange(50_257, dtype=np.int64), EOS_ID)
+    ids[1:] = others[np.random.default_rng(seed).choice(others.size, 4095, replace=False)]
+    return ConditionalDistribution(ids, quantize(probs))

@@ -14,6 +14,7 @@ from adgstego.corpus import BOS_ID
 from adgstego.errors import StegoError
 from adgstego.lm import ConditionalDistribution, quantize
 
+from conftest import bos_successors, zipf4096_eos_first
 from oracle_grouping import equal_group as oracle_equal_group
 from oracle_grouping import implicit_q as oracle_implicit_q
 
@@ -150,6 +151,17 @@ def test_implicit_q_add_k_style_ties_against_oracle(dist, k):
 
 def test_implicit_q_zipf50k_against_oracle(zipf50k):
     assert implicit_q(zipf50k).tobytes() == oracle_implicit_q(zipf50k).tobytes()
+
+
+def test_implicit_q_bundled_model_against_oracle(model):
+    for dist in bos_successors(model, 60):
+        assert implicit_q(dist).tobytes() == oracle_implicit_q(dist).tobytes()
+
+
+@pytest.mark.parametrize("eos", [0.0, 1e-4, 0.01, 0.2, 0.5])
+def test_implicit_q_zipf4096_eos_first_against_oracle(eos):
+    dist = zipf4096_eos_first(eos, seed=int(eos * 1e9) + 7)
+    assert implicit_q(dist).tobytes() == oracle_implicit_q(dist).tobytes()
 
 
 def pareto_add_k(seed, n, alpha, k):
