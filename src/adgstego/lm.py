@@ -70,16 +70,17 @@ def quantize(probs: Sequence[float]) -> np.ndarray:
         # ties resolve to the lower index so both ends agree.  Every
         # remainder above the deficit-th largest gets a unit, then the
         # lowest-index remainders equal to it fill the rest.
-        remainders = scaled - out
+        remainders = scaled  # in place: scaled is not read again
+        remainders -= out
         threshold = np.partition(remainders, arr.size - deficit)[arr.size - deficit]
         above = remainders > threshold
-        out[above] += 1
+        out += above
+        # At least the threshold itself is left, so the fill is never empty.
         fill = deficit - int(np.count_nonzero(above))
         out[np.flatnonzero(remainders == threshold)[:fill]] += 1
 
-    zero = out == 0
-    if np.any(zero):
-        out[zero] = 1
+    if out.min() == 0:
+        out[out == 0] = 1
         excess = int(out.sum()) - DENOMINATOR
         while excess > 0:
             top = int(np.argmax(out))

@@ -151,11 +151,28 @@ def test_missing_file_exits_nonzero(tmp_path):
     ) == 1
 
 
-def test_metrics_report_from_trace(workdir, capsys):
+@pytest.fixture
+def adg_trace(workdir, tmp_path):
+    """An adg embedding's trace, written by this fixture rather than by another test."""
+    path = tmp_path / "trace.ndjson"
+    assert main(
+        [
+            "embed",
+            "--model", str(workdir / "model.json"),
+            "--vocab", str(workdir / "vocab.tsv"),
+            "--hex", "deadbeefcafef00d",
+            "--out-stego", str(tmp_path / "stego.txt"),
+            "--out-trace", str(path),
+        ]
+    ) == 0
+    return path
+
+
+def test_metrics_report_from_trace(adg_trace, capsys):
     assert main(
         [
             "metrics",
-            "--trace", str(workdir / "trace.ndjson"),
+            "--trace", str(adg_trace),
             "--acc", "0.7",
         ]
     ) == 0
