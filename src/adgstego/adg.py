@@ -50,10 +50,10 @@ the group that holds the observed token, and carries the token's index
 among the node's members down the tree.
 
 ``implicit_q`` needs every group's probability, so it runs the greedy to
-the end, but on internal nodes only: a group whose head tells that it is
-a leaf (``u < 2``) or ``u`` singletons is written into q at once, with
-its node's other such groups, and only the groups that split further
-are sliced out and grouped in turn.
+the end, but on internal nodes only: a group whose head mass and total
+make it a leaf (``u < 2``), or that holds ``u`` singletons, is written
+into q at once with its node's other such groups, and only the groups
+that split further are sliced out and grouped in turn.
 """
 
 from __future__ import annotations
