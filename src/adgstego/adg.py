@@ -30,11 +30,10 @@ into.  The greedy records its decisions in one label table aligned with
 the node's members: placing a member writes its group, and every member
 starts labelled ``u - 1``, the last group, which takes whatever the
 greedy leaves.  Group ``g`` is the members labelled ``g``, and a member's
-label is final once the groups up to it are formed.  Forming a group,
-locating a member and building every group at once (``_Node.groups``,
-which ``equal_group`` uses, with one stable argsort) all read that table.
-The greedy also records each group's head, its first and largest member,
-so a group's own ``u`` is known without building the group.
+label is final once the groups up to it are formed.  Forming a group and
+locating a member both read that table.  The greedy also records each
+group's head, its first and largest member, so a group's own ``u`` is
+known without building the group.
 
 One node type, :class:`_Node`, is both a group that ``equal_group``
 returns and a level of the grouping tree: a node's own groups are its
@@ -66,7 +65,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import runner
-from .bitio import BitMessage, index_to_bits, next_index
+from .bitio import index_to_bits, next_index
 from .errors import DesyncError, StegoError
 from .lm import ConditionalDistribution, sample_token
 
@@ -200,11 +199,11 @@ class _Node:
     A node's grouping is resumable: a suspended :func:`_greedy` forms one
     group at a time, only as far as a request needs.  ``child(g)`` forms
     groups up to ``g`` and builds that group's node alone; ``locate(i)``
-    forms groups until member ``i`` is placed; ``groups()`` runs the greedy
-    to the end and builds every child.  Children are cached, so repeated
-    embedding and extraction against one distribution share one tree.
-    The greedy writes each member's group into the int32 table ``_label``
-    as it places the member, and all three read it.  Once the greedy ends
+    forms groups until member ``i`` is placed; ``groups()`` is every
+    ``child(g)``.  Children are cached, so repeated embedding and
+    extraction against one distribution share one tree.  The greedy writes
+    each member's group into the int32 table ``_label`` as it places the
+    member, and ``child`` and ``locate`` read it.  Once the greedy ends
     its typed buffers, union-find pointers and group heads are freed; the
     labels stay.  ``implicit_q`` runs the greedy without building nodes.
     ``locate`` memoizes each member's index inside its group in a second
@@ -240,18 +239,7 @@ class _Node:
                     break
 
     def groups(self) -> List["_Node"]:
-        u, children = self.u, self._children
-        if len(children) < u:
-            self._form(u - 1)
-            # Group members keep the mass-desc order: a stable sort by label.
-            label = np.frombuffer(self._label, np.intc)
-            order = np.argsort(label, kind="stable")
-            g_ids, g_masses = self.token_ids[order], self.masses[order]
-            ends = np.bincount(label, minlength=u).cumsum().tolist()
-            for g, (s, e, t) in enumerate(zip([0, *ends], ends, self._totals)):
-                if g not in children:
-                    children[g] = _Node(g_ids[s:e], g_masses[s:e], t)
-        return [children[g] for g in range(u)]
+        return [self.child(g) for g in range(self.u)]
 
     def child(self, g: int) -> "_Node":
         node = self._children.get(g)
@@ -268,8 +256,9 @@ class _Node:
             index_in = self._index_in = array("i", [-1]) * len(label)
         k = index_in[i]
         if k < 0:
-            # Member i's group is formed once the groups up to its label are:
-            # a member still labelled u - 1 is unplaced or in the last group.
+            # Member i's group is formed once the groups up to its label are.
+            # A member still labelled u - 1 is unplaced or in the last group,
+            # so the label is read again after each group is formed.
             totals = self._totals
             if len(totals) <= label[i]:
                 for _ in self._greedy:
@@ -292,49 +281,6 @@ def _tree(dist: ConditionalDistribution) -> _Node:
         node = _Node(np.arange(len(dist), dtype=np.int64), dist.masses, dist.denominator)
         dist.cache["adg_tree"] = node
     return node
-
-
-def embed_step(
-    dist: ConditionalDistribution,
-    msg: BitMessage,
-    sample_rng: random.Random,
-    pad_rng: random.Random,
-) -> Tuple[int, int, List[Tuple[int, int]]]:
-    """One generation step: returns (token_id, bits_consumed, level_trace).
-
-    ``level_trace`` holds one ``(u, selected_index)`` pair per recursion
-    level; ``bits_consumed`` is the sum of their ``log2(u)``.
-    """
-    node = _tree(dist)
-    levels: List[Tuple[int, int]] = []
-    bits = 0
-    while True:
-        u = node.u
-        if u < 2:
-            break
-        r = u.bit_length() - 1
-        index = next_index(msg, r, pad_rng)
-        levels.append((u, index))
-        bits += r
-        node = node.child(index)
-    return node.sample(sample_rng, dist.token_ids), bits, levels
-
-
-def extract_step(dist: ConditionalDistribution, observed_token: int) -> List[int]:
-    """Replay the grouping recursion and emit the observed token's group indices."""
-    position = dist.position_of(observed_token)
-    if position is None:
-        raise DesyncError(f"token {observed_token} absent from the shared distribution")
-    node = _tree(dist)
-    member = position  # the root's members are all positions, in order
-    bits: List[int] = []
-    while True:
-        u = node.u
-        if u < 2:
-            return bits
-        index, member = node.locate(member)
-        bits.extend(index_to_bits(index, u.bit_length() - 1))
-        node = node.child(index)
 
 
 def implicit_q(dist: ConditionalDistribution) -> np.ndarray:
@@ -389,7 +335,7 @@ def _place_groups(q, stack, positions, masses, label, totals, heads, scale) -> N
 
 
 class ADGCodec(runner.Codec):
-    """Adapter exposing the grouping codec through the shared runner loop."""
+    """The grouping codec, driven by the shared runner loop."""
 
     name = "adg"
 
@@ -397,12 +343,33 @@ class ADGCodec(runner.Codec):
         self.params: Dict = {}
 
     def embed_step(self, dist, msg, sample_rng, pad_rng):
-        token, bits, levels = embed_step(dist, msg, sample_rng, pad_rng)
-        return token, bits, [u for u, _ in levels]
+        """One step: returns (token_id, bits, group_sizes), with one ``u`` per recursion level."""
+        node = _tree(dist)
+        group_sizes: List[int] = []
+        bits = 0
+        while True:
+            u = node.u
+            if u < 2:
+                return node.sample(sample_rng, dist.token_ids), bits, group_sizes
+            r = u.bit_length() - 1
+            group_sizes.append(u)
+            bits += r
+            node = node.child(next_index(msg, r, pad_rng))
 
-    def extract_step(self, dist, token_id):
-        return extract_step(dist, token_id)
+    def extract_step(self, dist, token_id) -> List[int]:
+        """Replay the grouping recursion and emit the observed token's group indices."""
+        member = dist.position_of(token_id)  # the root's members are all positions, in order
+        if member is None:
+            raise DesyncError(f"token {token_id} absent from the shared distribution")
+        node = _tree(dist)
+        bits: List[int] = []
+        while True:
+            u = node.u
+            if u < 2:
+                return bits
+            index, member = node.locate(member)
+            bits.extend(index_to_bits(index, u.bit_length() - 1))
+            node = node.child(index)
 
     def step_q(self, dist):
         return np.arange(len(dist)), implicit_q(dist)
-

@@ -12,10 +12,8 @@ from adgstego import (
     ADGCodec,
     BitMessage,
     deframe,
-    embed_step,
     embed_text,
     equal_group,
-    extract_step,
     extract_text,
     frame,
     group_count,
@@ -96,21 +94,22 @@ def test_embed_step_worked_example_consumes_one_bit():
     for bit, (token_set, sizes) in enumerate([({0, 3}, 1), ({1, 2}, 1)]):
         dist = worked_dist()
         msg = BitMessage([bit])
-        token, bits, levels = embed_step(dist, msg, random.Random(0), random.Random(1))
+        token, bits, levels = ADGCodec().embed_step(dist, msg, random.Random(0), random.Random(1))
         assert bits == 1
-        assert levels == [(2, bit)]
+        assert levels == [2]
         assert token in token_set
-        assert extract_step(dist, token) == [bit]
+        assert ADGCodec().extract_step(dist, token) == [bit]
 
 
 def test_extract_step_rejects_foreign_token():
     dist = worked_dist()
     with pytest.raises(DesyncError):
-        extract_step(dist, 17)
+        ADGCodec().extract_step(dist, 17)
 
 
 def test_step_round_trip_on_random_distributions():
     rng = random.Random(42)
+    codec = ADGCodec()
     for trial in range(60):
         dist = random_distribution(rng, rng.randint(2, 300))
         payload = [rng.randint(0, 1) for _ in range(64)]
@@ -118,8 +117,8 @@ def test_step_round_trip_on_random_distributions():
         sample_rng, pad_rng = random.Random(trial), random.Random(trial + 1)
         consumed = []
         while not msg.exhausted:
-            token, bits, _levels = embed_step(dist, msg, sample_rng, pad_rng)
-            got = extract_step(dist, token)
+            token, bits, _levels = codec.embed_step(dist, msg, sample_rng, pad_rng)
+            got = codec.extract_step(dist, token)
             assert len(got) == bits
             consumed.extend(got)
             if bits == 0:
@@ -137,8 +136,8 @@ def test_embed_step_is_deterministic():
         dist_a.token_ids.copy(), dist_a.masses.copy(), dist_a.denominator
     )
     payload = [1, 0, 1, 1, 0, 0, 1, 0] * 4
-    out_a = embed_step(dist_a, BitMessage(payload), random.Random(9), random.Random(10))
-    out_b = embed_step(dist_b, BitMessage(payload), random.Random(9), random.Random(10))
+    out_a = ADGCodec().embed_step(dist_a, BitMessage(payload), random.Random(9), random.Random(10))
+    out_b = ADGCodec().embed_step(dist_b, BitMessage(payload), random.Random(9), random.Random(10))
     assert out_a == out_b
 
 

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adgstego import BitMessage, embed_step, equal_group, extract_step, group_count, implicit_q
+from adgstego import ADGCodec, BitMessage, equal_group, group_count, implicit_q
 from adgstego.adg import _Node, _tree
-from adgstego.bitio import index_to_bits
 from adgstego.corpus import BOS_ID
 from adgstego.errors import StegoError
 from adgstego.lm import ConditionalDistribution, quantize
@@ -119,16 +118,19 @@ def test_extract_recovers_every_token_along_the_embed_path():
     ids = rng.choice(ZIPF_VOCAB, size=4096, replace=False).astype(np.int64)
     probs = 1.0 / np.arange(1, 4097, dtype=np.float64) ** 1.1
     dist = ConditionalDistribution(ids, quantize(probs / probs.sum()))
+    codec = ADGCodec()
     for token in dist.token_ids.tolist():
-        bits = extract_step(dist, token)
-        sampled, consumed, levels = embed_step(dist, BitMessage(bits), random.Random(token), random.Random(0))
+        bits = codec.extract_step(dist, token)
+        sampled, consumed, group_sizes = codec.embed_step(dist, BitMessage(bits), random.Random(token), random.Random(0))
         assert consumed == len(bits)
-        assert [b for u, index in levels for b in index_to_bits(index, u.bit_length() - 1)] == bits
-        leaf = _tree(dist)
-        for _u, index in levels:
-            leaf = leaf.child(index)
+        leaf, at = _tree(dist), 0
+        for u in group_sizes:
+            chunk = bits[at : at + u.bit_length() - 1]
+            leaf = leaf.child(int("".join(map(str, chunk)), 2))
+            at += len(chunk)
+        assert at == len(bits)
         assert dist.position_of(token) in leaf.token_ids.tolist()
-        assert extract_step(dist, sampled) == bits
+        assert codec.extract_step(dist, sampled) == bits
 
 
 def assert_implicit_q_identical(token_ids, masses):
