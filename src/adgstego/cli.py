@@ -288,6 +288,9 @@ def cmd_bench(args, cfg: Dict) -> None:
         cell_keys = [json.dumps(spec, sort_keys=True) for spec in specs]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key bench.methods holds a value with no JSON form: {exc}") from exc
+    payload_bits = _config_number(cfg, "bench.payload_bits")
+    if payload_bits < 0 or payload_bits % 8:
+        raise ConfigError(f"config key bench.payload_bits must be a nonnegative multiple of 8, got {payload_bits}")
     model, vocab = _load_model(args.model, args.vocab)
     test_sentences = corpus.read_corpus(args.corpus)
     cover_rng = random.Random(_config_number(cfg, "seeds.cover"))

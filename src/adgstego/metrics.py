@@ -107,6 +107,8 @@ def sentence_vector(tokens: Sequence[str], dim: int = 100, seed: int = 0) -> np.
     Each token hashes to a fixed signed pattern; patterns are summed and
     L2-normalized, so identical bags of words map to identical vectors.
     """
+    if dim < 1:
+        raise ConfigError(f"vector_dim must be >= 1, got {dim}")
     if not tokens:
         raise StegoError("cannot vectorize an empty sentence")
     v = np.zeros(dim)

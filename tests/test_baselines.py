@@ -21,7 +21,7 @@ from adgstego.errors import DesyncError, StegoError
 from adgstego.lm import ConditionalDistribution
 from adgstego.runner import GenerationConfig, embed_text, extract_text
 
-from conftest import random_distribution
+from conftest import bos_successors, random_distribution
 
 
 def round_trip(codec_factory, payload, provider, seed=0):
@@ -157,6 +157,25 @@ def test_patient_huffman_delta_zero_never_embeds():
         assert codec._patient(dist)
 
 
+def test_patient_huffman_with_infinite_delta_is_huffman(model, provider):
+    # Every distortion is finite, so every step embeds through Huffman.
+    class Recording(CachedProvider):
+        def get(self, context, mask_eos):
+            dist = super().get(context, mask_eos)
+            seen.append(dist)
+            return dist
+
+    cfg = GenerationConfig(sample_seed=8, pad_seed=9, collect_stats=True)
+    runs = []
+    for codec in (HuffmanCodec(3), PatientHuffmanCodec(3, math.inf)):
+        seen = []
+        sentences, trace = embed_text(codec, frame(b"patient as huffman"), Recording(model), cfg)
+        bits = extract_text(codec, sentences, provider, cfg)
+        step_q = [[a.tolist() for a in codec.step_q(dist)] for dist in seen]
+        runs.append((sentences, bits, step_q, [(s.bits, s.kld_qp, s.kld_pq) for s in trace.steps]))
+    assert runs[0] == runs[1]
+
+
 # ---------------------------------------------------------------- arithmetic
 
 
@@ -201,6 +220,32 @@ def test_arithmetic_fractional_bits_sum_matches_resolution(provider):
     # Fractional per-step bits must cover the frame that was delivered.
     assert total >= trace.frame_bits - codec.precision
     assert any(not float(s.bits).is_integer() for s in trace.steps if not s.forced)
+
+
+def test_arithmetic_receiver_keeps_pace_with_sender(model):
+    # Both ends settle bits in the same rescale loop, so after every step
+    # the receiver has emitted exactly the bits the sender counts resolved.
+    # The 1:2:1 distribution's middle token spans the middle half, so the
+    # straddle branch runs whenever it is picked.
+    dists = [*bos_successors(model, 8), ConditionalDistribution.from_masses([0, 1, 2], [1, 2, 1])]
+    bit_rng = random.Random(3)
+    msg = BitMessage([bit_rng.getrandbits(1) for _ in range(256)])
+    embedder, extractor = ArithmeticCodec(300), ArithmeticCodec(300)
+    embedder.begin_embed()
+    extractor.begin_extract()
+    sample_rng, pad_rng = random.Random(4), random.Random(5)
+    out, straddled = [], False
+    for step in range(1000):
+        if embedder.delivered(msg):
+            break
+        dist = dists[step % len(dists)]
+        token, _bits, _ = embedder.embed_step(dist, msg, sample_rng, pad_rng)
+        out.extend(extractor.extract_step(dist, token))
+        assert len(out) == embedder._resolved
+        assert out[: len(msg)] == msg.bits[: len(out)]
+        straddled |= embedder._pending > 0
+    assert embedder.delivered(msg)
+    assert straddled
 
 
 def test_arithmetic_rejects_tail_token():

@@ -308,6 +308,11 @@ def _bench_argv(workdir, tmp_path):
             "--corpus", str(workdir / "test.txt"), "--out", str(tmp_path / "bench.csv")]
 
 
+def _small_bench_argv(workdir, tmp_path):
+    """``bench`` over one fast cell of a few sentences."""
+    return ["--set", "bench.n_sentences=4", "--set", "bench.methods=[{method: bins, b: 2}]"] + _bench_argv(workdir, tmp_path)
+
+
 def _trace_argv(header=None, step=None):
     """``metrics --trace`` on a valid one-step trace, with ``header`` and ``step`` fields overridden."""
     def build(workdir, tmp_path):
@@ -372,6 +377,11 @@ def _vocab_without_reserved_ids_argv(workdir, tmp_path):
         lambda w, t: ["--set", "bench.methods=[5]"] + _bench_argv(w, t),
         lambda w, t: ["--set", "bench.methods=5"] + _bench_argv(w, t),
         lambda w, t: ["--set", "bench.methods=[{method: adg, x: 2020-01-01}]"] + _bench_argv(w, t),
+        lambda w, t: ["--set", "bench.payload_bits=12"] + _bench_argv(w, t),
+        lambda w, t: ["--set", "bench.payload_bits=-8"] + _bench_argv(w, t),
+        lambda w, t: ["--set", "bench.vector_dim=-1"] + _small_bench_argv(w, t),
+        lambda w, t: ["--set", "bench.vector_dim=0"] + _small_bench_argv(w, t),
+        lambda w, t: ["--set", "bench.vector_dim=-1"] + _metrics_argv(w, t),
         _edited_model_argv(_bos_successor(99999)),
         _edited_model_argv(_bos_successor(-3)),
         _edited_model_argv(lambda doc: doc.update(vocab_size=5)),
@@ -393,7 +403,8 @@ def _vocab_without_reserved_ids_argv(workdir, tmp_path):
          "lm-order-not-int", "lm-order-one", "lm-k-zero", "lm-k-nan", "split-ratio-above-one",
          "metrics-acc-above-one", "model-not-json", "model-without-fields", "set-value-not-yaml",
          "payload-is-a-directory", "bench-method-not-mapping", "bench-methods-not-list",
-         "bench-method-value-not-json", "model-successor-id-past-vocab", "model-successor-id-negative",
+         "bench-method-value-not-json", "bench-payload-bits-not-whole-bytes", "bench-payload-bits-negative",
+         "bench-vector-dim-negative", "bench-vector-dim-zero", "metrics-vector-dim-negative", "model-successor-id-past-vocab", "model-successor-id-negative",
          "model-vocab-size-wrong", "model-context-id-past-vocab", "model-order-one", "model-k-zero",
          "trace-bits-not-number", "trace-payload-bits-not-int", "trace-kld-not-number", "stego-not-utf8",
          "train-corpus-not-utf8", "bench-corpus-not-utf8", "metrics-stego-not-utf8", "metrics-cover-not-utf8",
