@@ -310,7 +310,8 @@ def _bench_argv(workdir, tmp_path):
 
 def _small_bench_argv(workdir, tmp_path):
     """``bench`` over one fast cell of a few sentences."""
-    return ["--set", "bench.n_sentences=4", "--set", "bench.methods=[{method: bins, b: 2}]"] + _bench_argv(workdir, tmp_path)
+    return (["--set", "bench.n_sentences=4", "--set", "bench.methods=[{method: bins, b: 2}]"]
+            + _bench_argv(workdir, tmp_path))
 
 
 def _trace_argv(header=None, step=None):
@@ -404,7 +405,8 @@ def _vocab_without_reserved_ids_argv(workdir, tmp_path):
          "metrics-acc-above-one", "model-not-json", "model-without-fields", "set-value-not-yaml",
          "payload-is-a-directory", "bench-method-not-mapping", "bench-methods-not-list",
          "bench-method-value-not-json", "bench-payload-bits-not-whole-bytes", "bench-payload-bits-negative",
-         "bench-vector-dim-negative", "bench-vector-dim-zero", "metrics-vector-dim-negative", "model-successor-id-past-vocab", "model-successor-id-negative",
+         "bench-vector-dim-negative", "bench-vector-dim-zero", "metrics-vector-dim-negative",
+         "model-successor-id-past-vocab", "model-successor-id-negative",
          "model-vocab-size-wrong", "model-context-id-past-vocab", "model-order-one", "model-k-zero",
          "trace-bits-not-number", "trace-payload-bits-not-int", "trace-kld-not-number", "stego-not-utf8",
          "train-corpus-not-utf8", "bench-corpus-not-utf8", "metrics-stego-not-utf8", "metrics-cover-not-utf8",

@@ -121,10 +121,10 @@ def test_extract_recovers_every_token_along_the_embed_path():
     codec = ADGCodec()
     for token in dist.token_ids.tolist():
         bits = codec.extract_step(dist, token)
-        sampled, consumed, group_sizes = codec.embed_step(dist, BitMessage(bits), random.Random(token), random.Random(0))
+        sampled, consumed, sizes = codec.embed_step(dist, BitMessage(bits), random.Random(token), random.Random(0))
         assert consumed == len(bits)
         leaf, at = _tree(dist), 0
-        for u in group_sizes:
+        for u in sizes:
             chunk = bits[at : at + u.bit_length() - 1]
             leaf = leaf.child(int("".join(map(str, chunk)), 2))
             at += len(chunk)
