@@ -81,8 +81,19 @@ def _merge(base: Dict, override: Dict, path: str = "") -> Dict:
                 raise ConfigError(f"config key {key_path} must be a mapping")
             out[key] = _merge(base[key], value, key_path)
         else:
-            out[key] = value
+            out[key] = _typed(base[key], value, key_path)
     return out
+
+
+def _typed(default, value, key_path: str):
+    """``value`` as the type of ``default``; a float key also takes an int or a string float() reads."""
+    kind = type(default)
+    if type(value) is kind or (kind is float and type(value) in (int, str)):
+        try:
+            return kind(value)
+        except (OverflowError, ValueError):
+            pass
+    raise ConfigError(f"config key {key_path} must be of type {kind.__name__}, got {value!r}")
 
 
 def _parse_yaml(stream, where: str):
@@ -116,24 +127,11 @@ def load_config(path: Optional[str], overrides: Sequence[str]) -> Dict:
     return cfg
 
 
-def _config_number(cfg: Dict, dotted: str, kind=int):
-    """The config value at ``section.key`` as ``kind`` (int or float)."""
-    section, key = dotted.split(".")
-    value = cfg[section][key]
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {dotted} must be a number ({kind.__name__}), got {value!r}") from exc
-
-
 def _generation_config(cfg: Dict) -> runner.GenerationConfig:
+    codec, seeds = cfg["codec"], cfg["seeds"]
     return runner.GenerationConfig(
-        min_len=_config_number(cfg, "codec.min_len"),
-        max_len=_config_number(cfg, "codec.max_len"),
-        max_tokens=_config_number(cfg, "codec.max_tokens"),
-        max_sentences=_config_number(cfg, "codec.max_sentences"),
-        sample_seed=_config_number(cfg, "seeds.sample"),
-        pad_seed=_config_number(cfg, "seeds.pad"),
+        min_len=codec["min_len"], max_len=codec["max_len"], max_tokens=codec["max_tokens"],
+        max_sentences=codec["max_sentences"], sample_seed=seeds["sample"], pad_seed=seeds["pad"],
     )
 
 
@@ -150,17 +148,15 @@ def _load_model(model_path: str, vocab_path: str):
 
 
 def cmd_preprocess(args, cfg: Dict) -> None:
+    pre = cfg["preprocess"]
     sentences = corpus.preprocess(
         corpus.read_text(args.input),
         corpus.PreprocessConfig(
-            min_len=_config_number(cfg, "preprocess.min_len"),
-            max_len=_config_number(cfg, "preprocess.max_len"),
-            docs_per_line=bool(cfg["preprocess"]["docs_per_line"]),
+            min_len=pre["min_len"], max_len=pre["max_len"], docs_per_line=pre["docs_per_line"]
         ),
     )
-    vocab = corpus.build_vocab(sentences, min_count=_config_number(cfg, "preprocess.min_count"))
-    ratio, seed = _config_number(cfg, "preprocess.split_ratio", float), _config_number(cfg, "seeds.split")
-    train, test = corpus.split(sentences, ratio, seed)
+    vocab = corpus.build_vocab(sentences, min_count=pre["min_count"])
+    train, test = corpus.split(sentences, pre["split_ratio"], cfg["seeds"]["split"])
     corpus.write_corpus(args.out_train, train)
     corpus.write_corpus(args.out_test, test)
     vocab.save(args.out_vocab)
@@ -173,8 +169,7 @@ def cmd_preprocess(args, cfg: Dict) -> None:
 def cmd_train(args, cfg: Dict) -> None:
     vocab = corpus.Vocabulary.load(args.vocab)
     sentences = [vocab.encode_sentence(s) for s in corpus.read_corpus(args.corpus)]
-    order, k = _config_number(cfg, "lm.order"), _config_number(cfg, "lm.k", float)
-    model = lm.train_ngram(sentences, order, k, vocab)
+    model = lm.train_ngram(sentences, cfg["lm"]["order"], cfg["lm"]["k"], vocab)
     model.save(args.out)
     log.info("trained order-%d model over %d sentences", model.order, len(sentences))
 
@@ -228,8 +223,7 @@ def cmd_extract(args, cfg: Dict) -> None:
 
 
 def _bench_cell(model, vocab, cfg: Dict, spec: Dict, cell_key: str, cover: List[List[str]]):
-    n_sentences = _config_number(cfg, "bench.n_sentences")
-    payload_bits = _config_number(cfg, "bench.payload_bits")
+    n_sentences, payload_bits = cfg["bench"]["n_sentences"], cfg["bench"]["payload_bits"]
     gen_cfg = _generation_config(cfg)
     gen_cfg.collect_stats = True
     sample_seed, pad_seed = gen_cfg.sample_seed, gen_cfg.pad_seed
@@ -254,8 +248,8 @@ def _bench_cell(model, vocab, cfg: Dict, spec: Dict, cell_key: str, cover: List[
         traces,
         stego_sentences=stego_sentences,
         cover_sentences=cover[: len(stego_sentences)],
-        vector_dim=_config_number(cfg, "bench.vector_dim"),
-        vector_seed=_config_number(cfg, "seeds.vector"),
+        vector_dim=cfg["bench"]["vector_dim"],
+        vector_seed=cfg["seeds"]["vector"],
     )
     return report
 
@@ -280,20 +274,18 @@ def cmd_bench(args, cfg: Dict) -> None:
     specs = cfg["bench"]["methods"]
     # A spec's keys become make_codec keyword arguments, so they must be
     # strings, and its JSON form keys the cell's payload seed.
-    if not isinstance(specs, list) or not all(
-        isinstance(spec, dict) and all(isinstance(key, str) for key in spec) for spec in specs
-    ):
+    if not all(isinstance(spec, dict) and all(isinstance(key, str) for key in spec) for spec in specs):
         raise ConfigError(f"config key bench.methods must be a list of mappings, got {specs!r}")
     try:
         cell_keys = [json.dumps(spec, sort_keys=True) for spec in specs]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key bench.methods holds a value with no JSON form: {exc}") from exc
-    payload_bits = _config_number(cfg, "bench.payload_bits")
+    payload_bits = cfg["bench"]["payload_bits"]
     if payload_bits < 0 or payload_bits % 8:
         raise ConfigError(f"config key bench.payload_bits must be a nonnegative multiple of 8, got {payload_bits}")
     model, vocab = _load_model(args.model, args.vocab)
     test_sentences = corpus.read_corpus(args.corpus)
-    cover_rng = random.Random(_config_number(cfg, "seeds.cover"))
+    cover_rng = random.Random(cfg["seeds"]["cover"])
     cover = list(test_sentences)
     cover_rng.shuffle(cover)
     rows = []
@@ -319,8 +311,8 @@ def cmd_metrics(args, cfg: Dict) -> None:
         stego_sentences=stego,
         cover_sentences=cover[: len(stego)] if (cover and stego) else None,
         acc=args.acc,
-        vector_dim=_config_number(cfg, "bench.vector_dim"),
-        vector_seed=_config_number(cfg, "seeds.vector"),
+        vector_dim=cfg["bench"]["vector_dim"],
+        vector_seed=cfg["seeds"]["vector"],
     )
     text = json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2)
     if args.out:

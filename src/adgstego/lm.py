@@ -1,10 +1,11 @@
 """Conditional next-token distributions, fixed-point quantized.
 
 Sender and receiver must derive bit-identical distributions or extraction
-desynchronizes, so every distribution is apportioned to integer numerators
-over a fixed denominator ``D = 2**31`` (largest-remainder method) and all
-downstream grouping logic compares integers only.  The float path exists
-solely upstream of quantization.
+desynchronizes, so every distribution holds positive integer masses, and
+all downstream grouping logic compares integers only.  A distribution's
+total (``denominator``) is the sum of its masses; ``quantize`` apportions
+exactly ``2**31`` among float probabilities (largest-remainder method).
+The float path exists solely upstream of quantization.
 
 Every step of building a distribution is linear or near-linear, because a
 neural-style provider hands over a fresh one per token.  ``quantize``
@@ -91,8 +92,9 @@ def quantize(probs: Sequence[float]) -> np.ndarray:
 
 
 class ConditionalDistribution:
-    """Quantized next-token distribution, sorted by mass desc, ties by id asc.
+    """Integer-mass next-token distribution, sorted by mass desc, ties by id asc.
 
+    Every mass must be at least 1, and ``denominator`` is their sum.
     The order comes from one stable argsort of the negated masses, which
     keeps equal masses in input order and is close to linear on the nearly
     sorted masses providers hand over.  One vectorised comparison checks
@@ -105,29 +107,24 @@ class ConditionalDistribution:
 
     __slots__ = ("token_ids", "masses", "denominator", "cache", "_positions")
 
-    def __init__(self, token_ids: np.ndarray, masses: np.ndarray, denominator: int = DENOMINATOR):
+    def __init__(self, token_ids: Sequence[int], masses: Sequence[int]):
+        token_ids = np.asarray(token_ids, dtype=np.int64)
+        masses = np.asarray(masses, dtype=np.int64)
+        if not masses.size or int(masses.min()) < 1:
+            raise QuantizationError("a distribution needs at least one entry, each of mass >= 1")
         order = np.argsort(-masses, kind="stable")
         ids, m = token_ids[order], masses[order]
         if np.any((m[1:] == m[:-1]) & (ids[1:] < ids[:-1])):
             order = np.lexsort((token_ids, -masses))
             ids, m = token_ids[order], masses[order]
-        self.token_ids = np.ascontiguousarray(ids, dtype=np.int64)
-        self.masses = np.ascontiguousarray(m, dtype=np.int64)
-        self.denominator = denominator
+        self.token_ids, self.masses = ids, m
+        self.denominator = int(m.sum())
         self.cache: Dict = {}
         # None until the first lookup, False after it, then the id->position map.
         self._positions: Union[None, bool, Dict[int, int]] = None
-        if self.masses.size and int(self.masses.min()) < 1:
-            raise QuantizationError("zero-mass entries must not be stored")
-        if int(self.masses.sum()) != denominator:
-            raise QuantizationError("numerators do not sum to the denominator")
 
     def __len__(self) -> int:
         return int(self.token_ids.size)
-
-    @property
-    def p_max_mass(self) -> int:
-        return int(self.masses[0])
 
     def position_of(self, token_id: int) -> Optional[int]:
         """Position of ``token_id``, or None when it has no mass.
@@ -150,19 +147,13 @@ class ConditionalDistribution:
 
     @classmethod
     def from_probs(cls, token_ids: Sequence[int], probs: Sequence[float]) -> "ConditionalDistribution":
+        """Quantize ``probs`` to masses summing to ``2**31``; ids must be distinct."""
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.size != len(probs):
             raise QuantizationError("ids and probs length mismatch")
         if ids.size != np.unique(ids).size:
             raise QuantizationError("duplicate token ids in distribution")
         return cls(ids, quantize(probs))
-
-    @classmethod
-    def from_masses(cls, token_ids: Sequence[int], masses: Sequence[int]) -> "ConditionalDistribution":
-        """Build directly from integer masses; denominator is their sum."""
-        ids = np.asarray(token_ids, dtype=np.int64)
-        m = np.asarray(masses, dtype=np.int64)
-        return cls(ids, m, denominator=int(m.sum()))
 
 
 def sample_token(rng: random.Random, token_ids: np.ndarray, cumsum: np.ndarray, total: int) -> int:

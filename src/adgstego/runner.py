@@ -79,7 +79,7 @@ def mask_eos_min(dist: ConditionalDistribution) -> ConditionalDistribution:
     target = 0 if pos != 0 else 1
     masses[target] += excess
     # Only EOS leaves its place in the order, so re-sorting the result is close to linear.
-    return ConditionalDistribution(dist.token_ids, masses, dist.denominator)
+    return ConditionalDistribution(dist.token_ids, masses)
 
 
 @dataclass

@@ -87,7 +87,7 @@ def test_round_trip_identity_for_all_codecs(provider, vocab, capsys):
 
 def _single_level_forms(dist):
     """(token-form KL(p||q), group form, group masses) for one grouping level."""
-    u = group_count(dist.p_max_mass, dist.denominator)
+    u = group_count(int(dist.masses[0]), dist.denominator)
     grouping = equal_group(dist.token_ids, dist.masses, u)
     total = float(dist.denominator)
     etas = [g.total_mass / total for g in grouping]
@@ -227,7 +227,6 @@ def test_greedy_grouping_brackets_optimal(capsys):
             dist = ConditionalDistribution(
                 np.arange(len(masses), dtype=np.int64),
                 np.asarray(masses, dtype=np.int64),
-                denominator=total,
             )
             _, greedy_kl, _sums = _single_level_forms(dist)
             opt_cost = _optimal_group_cost(masses, u)

@@ -52,7 +52,7 @@ def test_bins_partition_is_balanced_and_seeded():
 
 def test_bins_embeds_bin_argmax():
     codec = BinsCodec(1, 0, 4)
-    dist = ConditionalDistribution.from_masses([0, 1, 2, 3], [40, 30, 20, 10])
+    dist = ConditionalDistribution([0, 1, 2, 3], [40, 30, 20, 10])
     for bit in (0, 1):
         token, bits, _ = codec.embed_step(dist, BitMessage([bit]), random.Random(0), random.Random(1))
         assert bits == 1
@@ -72,7 +72,7 @@ def test_bins_vocab_too_small():
 
 
 def test_huffman_tree_on_uniform_is_balanced():
-    dist = ConditionalDistribution.from_masses(list(range(8)), [10] * 8)
+    dist = ConditionalDistribution(list(range(8)), [10] * 8)
     _root, codes = _build_huffman(dist, 3)
     assert sorted(codes) == list(range(8))
     assert all(len(c) == 3 for c in codes.values())
@@ -104,7 +104,7 @@ def test_huffman_round_trip(provider):
 
 
 def test_huffman_extract_rejects_tail_token():
-    dist = ConditionalDistribution.from_masses(list(range(10)), [20 - i for i in range(10)])
+    dist = ConditionalDistribution(list(range(10)), [20 - i for i in range(10)])
     codec = HuffmanCodec(2)
     with pytest.raises(DesyncError):
         codec.extract_step(dist, int(dist.token_ids[5]))
@@ -115,9 +115,9 @@ def test_huffman_extract_rejects_tail_token():
 
 def test_patient_huffman_threshold_behavior():
     # A sharply peaked distribution has high Huffman distortion: patient.
-    peaked = ConditionalDistribution.from_masses([0, 1, 2, 3], [1000, 10, 5, 5])
+    peaked = ConditionalDistribution([0, 1, 2, 3], [1000, 10, 5, 5])
     # A dyadic-uniform one has zero distortion: embeds.
-    flat = ConditionalDistribution.from_masses([0, 1, 2, 3], [10, 10, 10, 10])
+    flat = ConditionalDistribution([0, 1, 2, 3], [10, 10, 10, 10])
     codec = PatientHuffmanCodec(2, delta=0.1)
     assert codec._patient(peaked)
     assert not codec._patient(flat)
@@ -130,9 +130,9 @@ def test_patient_huffman_threshold_behavior():
 
 
 def test_patient_huffman_distortion_monotone_cases():
-    flat = ConditionalDistribution.from_masses([0, 1, 2, 3], [10, 10, 10, 10])
+    flat = ConditionalDistribution([0, 1, 2, 3], [10, 10, 10, 10])
     assert _huffman_distortion(flat, 2) == pytest.approx(0.0)
-    skew = ConditionalDistribution.from_masses([0, 1, 2, 3], [70, 20, 6, 4])
+    skew = ConditionalDistribution([0, 1, 2, 3], [70, 20, 6, 4])
     assert _huffman_distortion(skew, 2) > 0
 
 
@@ -190,7 +190,7 @@ def test_arithmetic_round_trip_small_h(provider):
 def test_arithmetic_exact_on_dyadic_distribution():
     # With dyadic renormalized masses each step consumes an integer number
     # of bits and the interval never straddles: coding is exact.
-    dist = ConditionalDistribution.from_masses([0, 1, 2, 3], [8, 4, 2, 2])
+    dist = ConditionalDistribution([0, 1, 2, 3], [8, 4, 2, 2])
     payload = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0]
     embedder = ArithmeticCodec(4)
     embedder.begin_embed()
@@ -227,7 +227,7 @@ def test_arithmetic_receiver_keeps_pace_with_sender(model):
     # the receiver has emitted exactly the bits the sender counts resolved.
     # The 1:2:1 distribution's middle token spans the middle half, so the
     # straddle branch runs whenever it is picked.
-    dists = [*bos_successors(model, 8), ConditionalDistribution.from_masses([0, 1, 2], [1, 2, 1])]
+    dists = [*bos_successors(model, 8), ConditionalDistribution([0, 1, 2], [1, 2, 1])]
     bit_rng = random.Random(3)
     msg = BitMessage([bit_rng.getrandbits(1) for _ in range(256)])
     embedder, extractor = ArithmeticCodec(300), ArithmeticCodec(300)
@@ -249,7 +249,7 @@ def test_arithmetic_receiver_keeps_pace_with_sender(model):
 
 
 def test_arithmetic_rejects_tail_token():
-    dist = ConditionalDistribution.from_masses(list(range(10)), [20 - i for i in range(10)])
+    dist = ConditionalDistribution(list(range(10)), [20 - i for i in range(10)])
     codec = ArithmeticCodec(4)
     codec.begin_extract()
     with pytest.raises(DesyncError):

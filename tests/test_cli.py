@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 import subprocess
 import sys
 
@@ -53,6 +54,12 @@ def test_config_defaults_and_overrides(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text("lm:\n  k: 2.5\n")
     assert load_config(str(path), [])["lm"]["k"] == 2.5
+
+    # A float key reads an int as a float, and YAML 1.1 leaves 1e-3 and inf as strings.
+    cfg = load_config(None, ["lm.k=1", "codec.delta=inf"])
+    assert type(cfg["lm"]["k"]) is float and cfg["lm"]["k"] == 1.0
+    assert cfg["codec"]["delta"] == math.inf
+    assert load_config(None, ["lm.k=1e-3"])["lm"]["k"] == 0.001
 
 
 def test_config_rejects_unknown_key():
@@ -380,6 +387,9 @@ def _vocab_without_reserved_ids_argv(workdir, tmp_path):
         lambda w, t: ["--set", "bench.methods=[{method: adg, x: 2020-01-01}]"] + _bench_argv(w, t),
         lambda w, t: ["--set", "bench.payload_bits=12"] + _bench_argv(w, t),
         lambda w, t: ["--set", "bench.payload_bits=-8"] + _bench_argv(w, t),
+        lambda w, t: ["--set", "bench.payload_bits=16.9"] + _bench_argv(w, t),
+        lambda w, t: ["--set", "codec.min_len=true"] + _embed_argv(w, t),
+        lambda w, t: ["--set", "preprocess.docs_per_line=nope"] + _preprocess_argv(t),
         lambda w, t: ["--set", "bench.vector_dim=-1"] + _small_bench_argv(w, t),
         lambda w, t: ["--set", "bench.vector_dim=0"] + _small_bench_argv(w, t),
         lambda w, t: ["--set", "bench.vector_dim=-1"] + _metrics_argv(w, t),
@@ -405,6 +415,7 @@ def _vocab_without_reserved_ids_argv(workdir, tmp_path):
          "metrics-acc-above-one", "model-not-json", "model-without-fields", "set-value-not-yaml",
          "payload-is-a-directory", "bench-method-not-mapping", "bench-methods-not-list",
          "bench-method-value-not-json", "bench-payload-bits-not-whole-bytes", "bench-payload-bits-negative",
+         "bench-payload-bits-float", "min-len-bool", "docs-per-line-not-bool",
          "bench-vector-dim-negative", "bench-vector-dim-zero", "metrics-vector-dim-negative",
          "model-successor-id-past-vocab", "model-successor-id-negative",
          "model-vocab-size-wrong", "model-context-id-past-vocab", "model-order-one", "model-k-zero",
@@ -418,3 +429,4 @@ def test_bad_input_exits_with_one_error_line(workdir, tmp_path, caplog, build_ar
     assert main(argv) == 1
     errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and errors[0].exc_info is None
+

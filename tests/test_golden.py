@@ -68,7 +68,7 @@ class HashMassProvider:
             # there and patient Huffman falls back to plain sampling.
             top = stream[62] % len(ids)
             masses[top] += sum(masses) * (1 + stream[61] % 32)
-        return ConditionalDistribution.from_masses(ids, masses)
+        return ConditionalDistribution(ids, masses)
 
 
 def run_codec(method):

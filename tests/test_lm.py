@@ -100,7 +100,7 @@ def test_quantize_input_validation():
 
 
 def test_distribution_sorted_mass_desc_ties_by_id():
-    dist = ConditionalDistribution.from_masses([9, 3, 7], [10, 50, 50])
+    dist = ConditionalDistribution([9, 3, 7], [10, 50, 50])
     assert dist.token_ids.tolist() == [3, 7, 9]
     assert dist.masses.tolist() == [50, 50, 10]
     assert dist.denominator == 110
@@ -108,9 +108,20 @@ def test_distribution_sorted_mass_desc_ties_by_id():
     assert dist.position_of(4) is None
 
 
+def test_distribution_total_is_the_sum_of_its_masses():
+    dist = ConditionalDistribution([4, 2, 9, 5], [300, 100, 100, 7])
+    assert dist.denominator == 507
+    assert dist.probs().sum() == pytest.approx(1.0)
+
+
+def test_distribution_rejects_empty():
+    with pytest.raises(QuantizationError):
+        ConditionalDistribution([], [])
+
+
 def test_distribution_rejects_zero_mass():
     with pytest.raises(QuantizationError):
-        ConditionalDistribution(np.asarray([0, 1]), np.asarray([5, 0]), denominator=5)
+        ConditionalDistribution(np.asarray([0, 1]), np.asarray([5, 0]))
 
 
 def test_distribution_from_probs_rejects_duplicates():

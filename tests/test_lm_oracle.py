@@ -34,7 +34,7 @@ def assert_same_build(token_ids, masses):
     """Canonical order, EOS masking and both kinds of ``position_of`` lookup agree with the oracle."""
     ids = np.asarray(token_ids, dtype=np.int64)
     m = np.asarray(masses, dtype=np.int64)
-    got = ConditionalDistribution(ids, m, int(m.sum()))
+    got = ConditionalDistribution(ids, m)
     want = oracle_lm.OracleDistribution(ids, m, int(m.sum()))
     assert_same_order(got, want)
     masked, want_masked = mask_eos_min(got), oracle_lm.mask_eos_min(want)
@@ -99,7 +99,7 @@ def test_build_heavy_ties_unsorted_negative_ids(dist):
 @given(_distributions(st.integers(1, 1 << 40)))
 def test_build_large_denominators(dist):
     ids, masses = dist
-    got = ConditionalDistribution.from_masses(ids, masses)
+    got = ConditionalDistribution(ids, masses)
     assert_same_order(got, oracle_lm.OracleDistribution.from_masses(ids, masses))
     assert_same_build(ids, masses)
 
@@ -107,7 +107,7 @@ def test_build_large_denominators(dist):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 3)), min_size=2, max_size=60))
 def test_build_repeated_ids(entries):
-    # from_masses does not reject a repeated id; its lookups answer the last position.
+    # The constructor does not reject a repeated id; its lookups answer the last position.
     assert_same_build([t for t, _m in entries], [m for _t, m in entries])
 
 

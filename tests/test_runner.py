@@ -27,7 +27,7 @@ from adgstego.runner import (
 
 
 def test_mask_eos_min_moves_excess_to_largest():
-    dist = ConditionalDistribution.from_masses([EOS_ID, 7, 8], [50, 30, 20])
+    dist = ConditionalDistribution([EOS_ID, 7, 8], [50, 30, 20])
     masked = mask_eos_min(dist)
     assert int(masked.masses.sum()) == 100
     pos = masked.position_of(EOS_ID)
@@ -37,7 +37,7 @@ def test_mask_eos_min_moves_excess_to_largest():
 
 
 def test_mask_eos_min_noop_without_eos():
-    dist = ConditionalDistribution.from_masses([7, 8], [60, 40])
+    dist = ConditionalDistribution([7, 8], [60, 40])
     assert mask_eos_min(dist) is dist
 
 
