@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import random
 from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
@@ -342,11 +343,14 @@ def make_codec(method: str, vocab_size: int, **params):
     """Instantiate a codec by method tag; used by the CLI and the bench grid."""
 
     def number(name: str, kind=int, default=None):
+        # Neither kind takes a bool, and an int parameter never truncates a float.
         value = params.get(name, default)
         try:
-            return kind(value)
+            if isinstance(value, bool):
+                raise TypeError
+            return operator.index(value) if kind is int else float(value)
         except (OverflowError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{method} parameter {name} must be a number ({kind.__name__}), got {value!r}") from exc
+            raise ConfigError(f"{method} parameter {name} must be of type {kind.__name__}, got {value!r}") from exc
 
     if method == "adg":
         return ADGCodec()

@@ -280,9 +280,11 @@ def cmd_bench(args, cfg: Dict) -> None:
         cell_keys = [json.dumps(spec, sort_keys=True) for spec in specs]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key bench.methods holds a value with no JSON form: {exc}") from exc
-    payload_bits = cfg["bench"]["payload_bits"]
+    payload_bits, vector_dim = cfg["bench"]["payload_bits"], cfg["bench"]["vector_dim"]
     if payload_bits < 0 or payload_bits % 8:
         raise ConfigError(f"config key bench.payload_bits must be a nonnegative multiple of 8, got {payload_bits}")
+    if vector_dim < 1:
+        raise ConfigError(f"config key bench.vector_dim must be >= 1, got {vector_dim}")
     model, vocab = _load_model(args.model, args.vocab)
     test_sentences = corpus.read_corpus(args.corpus)
     cover_rng = random.Random(cfg["seeds"]["cover"])

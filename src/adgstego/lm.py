@@ -110,8 +110,8 @@ class ConditionalDistribution:
     def __init__(self, token_ids: Sequence[int], masses: Sequence[int]):
         token_ids = np.asarray(token_ids, dtype=np.int64)
         masses = np.asarray(masses, dtype=np.int64)
-        if not masses.size or int(masses.min()) < 1:
-            raise QuantizationError("a distribution needs at least one entry, each of mass >= 1")
+        if token_ids.shape != masses.shape or not masses.size or int(masses.min()) < 1:
+            raise QuantizationError("a distribution needs one id per mass, at least one entry and masses >= 1")
         order = np.argsort(-masses, kind="stable")
         ids, m = token_ids[order], masses[order]
         if np.any((m[1:] == m[:-1]) & (ids[1:] < ids[:-1])):

@@ -17,7 +17,7 @@ from adgstego.baselines import (
     make_codec,
 )
 from adgstego.bitio import bytes_to_bits, deframe
-from adgstego.errors import DesyncError, StegoError
+from adgstego.errors import ConfigError, DesyncError, StegoError
 from adgstego.lm import ConditionalDistribution
 from adgstego.runner import GenerationConfig, embed_text, extract_text
 
@@ -274,3 +274,9 @@ def test_make_codec_dispatch():
     assert make_codec("arithmetic", 100, h=50).name == "arithmetic"
     with pytest.raises(ValueError):
         make_codec("nope", 100)
+    assert make_codec("bins", 100, b=np.int64(2)).name == "bins"
+    # An int parameter is never truncated from a float or read from a bool.
+    for method, name, value in [("huffman", "k", 5.9), ("huffman", "k", True), ("bins", "b", 2.7),
+                                ("arithmetic", "h", "50"), ("patient_huffman", "delta", "x")]:
+        with pytest.raises(ConfigError, match=f"parameter {name} "):
+            make_codec(method, 100, **{name: value})

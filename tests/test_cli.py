@@ -390,6 +390,7 @@ def _vocab_without_reserved_ids_argv(workdir, tmp_path):
         lambda w, t: ["--set", "bench.payload_bits=16.9"] + _bench_argv(w, t),
         lambda w, t: ["--set", "codec.min_len=true"] + _embed_argv(w, t),
         lambda w, t: ["--set", "preprocess.docs_per_line=nope"] + _preprocess_argv(t),
+        lambda w, t: ["--set", "bench.methods=[{method: huffman, k: 5.9}]"] + _bench_argv(w, t),
         lambda w, t: ["--set", "bench.vector_dim=-1"] + _small_bench_argv(w, t),
         lambda w, t: ["--set", "bench.vector_dim=0"] + _small_bench_argv(w, t),
         lambda w, t: ["--set", "bench.vector_dim=-1"] + _metrics_argv(w, t),
@@ -415,7 +416,7 @@ def _vocab_without_reserved_ids_argv(workdir, tmp_path):
          "metrics-acc-above-one", "model-not-json", "model-without-fields", "set-value-not-yaml",
          "payload-is-a-directory", "bench-method-not-mapping", "bench-methods-not-list",
          "bench-method-value-not-json", "bench-payload-bits-not-whole-bytes", "bench-payload-bits-negative",
-         "bench-payload-bits-float", "min-len-bool", "docs-per-line-not-bool",
+         "bench-payload-bits-float", "min-len-bool", "docs-per-line-not-bool", "bench-method-k-float",
          "bench-vector-dim-negative", "bench-vector-dim-zero", "metrics-vector-dim-negative",
          "model-successor-id-past-vocab", "model-successor-id-negative",
          "model-vocab-size-wrong", "model-context-id-past-vocab", "model-order-one", "model-k-zero",
@@ -430,3 +431,13 @@ def test_bad_input_exits_with_one_error_line(workdir, tmp_path, caplog, build_ar
     errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and errors[0].exc_info is None
 
+
+@pytest.mark.parametrize("setting", ["bench.vector_dim=0", "bench.payload_bits=16.9", "codec.min_len=true",
+                                     "preprocess.docs_per_line=nope"])
+def test_config_fault_is_named_before_the_model_loads(tmp_path, caplog, setting):
+    absent = str(tmp_path / "absent")
+    caplog.clear()
+    assert main(["--set", setting, "bench", "--model", absent, "--vocab", absent, "--corpus", absent,
+                 "--out", str(tmp_path / "bench.csv")]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and errors[0].startswith("ConfigError: config key " + setting.split("=")[0])

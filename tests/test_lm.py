@@ -114,9 +114,10 @@ def test_distribution_total_is_the_sum_of_its_masses():
     assert dist.probs().sum() == pytest.approx(1.0)
 
 
-def test_distribution_rejects_empty():
-    with pytest.raises(QuantizationError):
-        ConditionalDistribution([], [])
+def test_distribution_rejects_empty_or_mismatched():
+    for ids, masses in [([], []), ([1, 2], [5]), ([1], [5, 6])]:
+        with pytest.raises(QuantizationError):
+            ConditionalDistribution(ids, masses)
 
 
 def test_distribution_rejects_zero_mass():
