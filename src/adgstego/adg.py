@@ -48,11 +48,11 @@ the final group.  Extraction replays the recursion, at each level taking
 the group that holds the observed token, and carries the token's index
 among the node's members down the tree.
 
-``implicit_q`` needs every group's probability, so it runs the greedy to
-the end, but on internal nodes only: a group whose head mass and total
-make it a leaf (``u < 2``), or that holds ``u`` singletons, is written
-into q at once with its node's other such groups, and only the groups
-that split further are sliced out and grouped in turn.
+``implicit_q`` needs every group's probability, so it walks a fresh tree
+of its own and runs each node's greedy to the end.  A group whose head
+mass and total make it a leaf (``u < 2``), or that holds ``u``
+singletons, is written into q at once with its node's other such groups;
+only the groups that split further become nodes.
 """
 
 from __future__ import annotations
@@ -204,14 +204,14 @@ class _Node:
     extraction against one distribution share one tree.  The greedy writes
     each member's group into the int32 table ``_label`` as it places the
     member, and ``child`` and ``locate`` read it.  Once the greedy ends
-    its typed buffers, union-find pointers and group heads are freed; the
-    labels stay.  ``implicit_q`` runs the greedy without building nodes.
+    its typed buffers and union-find pointers are freed; the labels, group
+    totals and group heads stay, and ``implicit_q`` reads them.
     ``locate`` memoizes each member's index inside its group in a second
     int32 table, so a repeated lookup is two array reads.
     """
 
     __slots__ = ("token_ids", "masses", "total_mass", "u", "_children", "_greedy", "_label", "_totals",
-                 "_index_in", "_cumsum", "_member_ids")
+                 "_heads", "_index_in", "_cumsum", "_member_ids")
 
     def __init__(self, token_ids: np.ndarray, masses: np.ndarray, total_mass: int, u: Optional[int] = None):
         self.token_ids = token_ids
@@ -228,7 +228,8 @@ class _Node:
         if self.u > 1:
             self._label = array("i", [u - 1]) * len(token_ids)
             self._totals: List[int] = []
-            self._greedy = _greedy(masses, u, self._label, self._totals, [])
+            self._heads: List[int] = []
+            self._greedy = _greedy(masses, u, self._label, self._totals, self._heads)
 
     def _form(self, g: int) -> None:
         """Run the greedy until group ``g`` is formed."""
@@ -245,7 +246,7 @@ class _Node:
         node = self._children.get(g)
         if node is None:
             self._form(g)
-            index = np.flatnonzero(np.frombuffer(self._label, np.intc) == g)
+            index = (np.frombuffer(self._label, np.intc) == g).nonzero()[0]
             node = self._children[g] = _Node(self.token_ids[index], self.masses[index], self._totals[g])
         return node
 
@@ -290,48 +291,36 @@ def implicit_q(dist: ConditionalDistribution) -> np.ndarray:
     level contributes a factor ``1/u`` for its group, and the final group
     contributes the token's renormalized mass.
     """
-    # Its own walk over positions, not the cached tree, so the tree holds
-    # only what embedding and extraction built.  Only internal nodes are
-    # grouped: a group's u follows from its head mass and total, so each
-    # node writes its leaf groups straight into q.  The root is the one
-    # group of a trivial grouping.
-    n = len(dist)
-    q = np.zeros(n, dtype=np.float64)
-    stack: List[Tuple[np.ndarray, np.ndarray, int, float]] = []
-    _place_groups(q, stack, np.arange(n, dtype=np.int64), dist.masses,
-                  np.zeros(n, dtype=np.intc), [dist.denominator], [0], 1.0)
+    # A fresh root, not the cached tree, so the tree holds only what
+    # embedding and extraction built.  A group's u follows from its head
+    # mass and total, so a node writes its leaf groups and its groups of u
+    # singletons straight into q, and only the other groups become nodes.
+    node = _Node(np.arange(len(dist), dtype=np.int64), dist.masses, dist.denominator)
+    if node.u < 2:
+        return dist.masses / dist.denominator
+    q = np.zeros(len(dist), dtype=np.float64)
+    stack = [(node, 1.0)]
     while stack:
-        positions, masses, u, scale = stack.pop()
-        label = array("i", [u - 1]) * len(positions)
-        totals: List[int] = []
-        heads: List[int] = []
-        for _ in _greedy(masses, u, label, totals, heads):
+        node, scale = stack.pop()
+        for _ in node._greedy:
             pass
-        _place_groups(q, stack, positions, masses, np.frombuffer(label, np.intc), totals, heads, scale / u)
+        scale /= node.u
+        positions, masses, totals = node.token_ids, node.masses, node._totals
+        label = np.frombuffer(node._label, np.intc)
+        tot = np.asarray(totals, dtype=np.int64)
+        us = [group_count(h, t) for h, t in zip(masses[node._heads].tolist(), totals)]
+        if max(us) < 2:
+            q[positions] = scale * (masses / tot[label])
+            continue
+        us = np.asarray(us, dtype=np.int64)
+        leaf = us < 2
+        flat = ~leaf & (us == np.bincount(label, minlength=len(us)))
+        at = leaf[label]
+        q[positions[at]] = scale * (masses[at] / tot[label[at]])
+        at = flat[label]
+        q[positions[at]] = scale / us[label[at]]
+        stack.extend((node.child(g), scale) for g in (~(leaf | flat)).nonzero()[0].tolist())
     return q
-
-
-def _place_groups(q, stack, positions, masses, label, totals, heads, scale) -> None:
-    """Write a node's leaf groups into ``q`` and push its internal groups, each reached with ``scale``.
-
-    A leaf (``u < 2``) contributes ``scale`` times each member's mass over
-    its group's total; a group of ``u`` singletons ``scale / u`` each.
-    """
-    tot = np.asarray(totals, dtype=np.int64)
-    us = [group_count(h, t) for h, t in zip(masses[heads].tolist(), totals)]
-    if max(us) < 2:
-        q[positions] = scale * (masses / tot[label])
-        return
-    us = np.asarray(us, dtype=np.int64)
-    leaf = us < 2
-    flat = ~leaf & (us == np.bincount(label, minlength=len(us)))  # u singletons: 1/u each
-    at = leaf[label]
-    q[positions[at]] = scale * (masses[at] / tot[label[at]])
-    at = flat[label]
-    q[positions[at]] = scale / us[label[at]]
-    for g in np.flatnonzero(~(leaf | flat)).tolist():
-        at = np.flatnonzero(label == g)
-        stack.append((positions[at], masses[at], int(us[g]), scale))
 
 
 class ADGCodec(runner.Codec):

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adgstego import ADGCodec, BitMessage, equal_group, group_count, implicit_q
@@ -140,6 +140,9 @@ def assert_implicit_q_identical(token_ids, masses):
 
 @settings(max_examples=150, deadline=None)
 @given(distributions(st.integers(1, 10**9)))
+@example(([7], [5]))  # the root is a single token
+@example(([1, 2], [3, 1]))  # the root is a leaf
+@example((list(range(8)), [5] * 8))  # the root holds u singletons
 def test_implicit_q_random_masses_against_oracle(dist):
     assert_implicit_q_identical(*dist)
 
@@ -164,6 +167,21 @@ def test_implicit_q_bundled_model_against_oracle(model):
 def test_implicit_q_zipf4096_eos_first_against_oracle(eos):
     dist = zipf4096_eos_first(eos, seed=int(eos * 1e9) + 7)
     assert implicit_q(dist).tobytes() == oracle_implicit_q(dist).tobytes()
+
+
+def test_implicit_q_leaves_the_cached_tree_as_it_found_it():
+    probs = 1.0 / np.arange(1, 4097, dtype=np.float64) ** 1.1
+    ids = np.random.default_rng(5).choice(ZIPF_VOCAB, size=4096, replace=False).astype(np.int64)
+    dist = ConditionalDistribution(ids, quantize(probs / probs.sum()))
+    implicit_q(dist)
+    assert "adg_tree" not in dist.cache
+    ADGCodec().embed_step(dist, BitMessage([0] * 8), random.Random(0), random.Random(0))
+    root = _tree(dist)
+    totals, children = len(root._totals), sorted(root._children)
+    assert totals < root.u and children == [0]  # the embedding left the root's grouping unfinished
+    implicit_q(dist)
+    assert dist.cache.keys() == {"adg_tree"} and _tree(dist) is root
+    assert len(root._totals) == totals and sorted(root._children) == children
 
 
 def pareto_add_k(seed, n, alpha, k):
