@@ -94,7 +94,7 @@ def quantize(probs: Sequence[float]) -> np.ndarray:
 class ConditionalDistribution:
     """Integer-mass next-token distribution, sorted by mass desc, ties by id asc.
 
-    Every mass must be at least 1, and ``denominator`` is their sum.
+    Ids and masses are integers, every mass at least 1; ``denominator`` is their sum.
     The order comes from one stable argsort of the negated masses, which
     keeps equal masses in input order and is close to linear on the nearly
     sorted masses providers hand over.  One vectorised comparison checks
@@ -108,10 +108,14 @@ class ConditionalDistribution:
     __slots__ = ("token_ids", "masses", "denominator", "cache", "_positions")
 
     def __init__(self, token_ids: Sequence[int], masses: Sequence[int]):
-        token_ids = np.asarray(token_ids, dtype=np.int64)
-        masses = np.asarray(masses, dtype=np.int64)
-        if token_ids.shape != masses.shape or not masses.size or int(masses.min()) < 1:
-            raise QuantizationError("a distribution needs one id per mass, at least one entry and masses >= 1")
+        token_ids, masses = np.asarray(token_ids), np.asarray(masses)
+        # An empty list reads as float64, so the size is checked before the dtype.
+        if token_ids.shape != masses.shape or not masses.size or {token_ids.dtype.kind, masses.dtype.kind} - {"i", "u"}:
+            raise QuantizationError("a distribution needs one integer id per integer mass and at least one entry")
+        # A uint mass past int64 wraps negative here, so the mass check rejects it.
+        token_ids, masses = token_ids.astype(np.int64, copy=False), masses.astype(np.int64, copy=False)
+        if int(masses.min()) < 1:
+            raise QuantizationError("a distribution needs masses >= 1")
         order = np.argsort(-masses, kind="stable")
         ids, m = token_ids[order], masses[order]
         if np.any((m[1:] == m[:-1]) & (ids[1:] < ids[:-1])):

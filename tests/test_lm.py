@@ -115,7 +115,8 @@ def test_distribution_total_is_the_sum_of_its_masses():
 
 
 def test_distribution_rejects_empty_or_mismatched():
-    for ids, masses in [([], []), ([1, 2], [5]), ([1], [5, 6])]:
+    for ids, masses in [([], []), ([1, 2], [5]), ([1], [5, 6]), ([0, 1], [1.5, 2.5]), ([0, 1], [True, True]),
+                        ([0, 1], [3, "4"]), ([0.5, 1.7], [3, 4]), ([0], np.asarray([2**63 + 5], dtype=np.uint64))]:
         with pytest.raises(QuantizationError):
             ConditionalDistribution(ids, masses)
 
