@@ -232,18 +232,16 @@ class ArithmeticCodec(Codec):
     """
 
     name = "arithmetic"
+    precision = 52  # bits in the code window
+    _full = 1 << precision
+    _half = _full >> 1
+    _quarter = _full >> 2
 
-    def __init__(self, h: int, precision: int = 52):
+    def __init__(self, h: int):
         if h < 2:
             raise ConfigError(f"h must be >= 2, got {h}")
-        if not 40 <= precision <= 62:
-            raise ConfigError(f"precision {precision} outside the supported range")
         self.h = h
-        self.precision = precision
-        self.params = {"h": h, "precision": precision}
-        self._full = 1 << precision
-        self._half = self._full >> 1
-        self._quarter = self._full >> 2
+        self.params = {"h": h, "precision": self.precision}
         self.begin_embed()
 
     def begin_embed(self) -> None:
@@ -339,12 +337,28 @@ class ArithmeticCodec(Codec):
         return np.arange(len(cum)), dist.masses[: len(cum)] / total
 
 
+# Each method's parameters and their kinds; make_codec rejects any other.
+CODEC_PARAMS: Dict[str, Dict[str, type]] = {
+    "adg": {},
+    "bins": {"b": int, "partition_seed": int},
+    "huffman": {"k": int},
+    "patient_huffman": {"k": int, "delta": float},
+    "arithmetic": {"h": int},
+}
+
+
 def make_codec(method: str, vocab_size: int, **params):
     """Instantiate a codec by method tag; used by the CLI and the bench grid."""
+    kinds = CODEC_PARAMS.get(method) if isinstance(method, str) else None
+    if kinds is None:
+        raise ConfigError(f"unknown method {method!r}")
+    unknown = sorted(set(params) - set(kinds))
+    if unknown:
+        raise ConfigError(f"{method} takes {', '.join(kinds) or 'no parameters'}, not {', '.join(unknown)}")
 
-    def number(name: str, kind=int, default=None):
+    def number(name: str, default=None):
         # Neither kind takes a bool, and an int parameter never truncates a float.
-        value = params.get(name, default)
+        kind, value = kinds[name], params.get(name, default)
         try:
             if isinstance(value, bool):
                 raise TypeError
@@ -359,7 +373,5 @@ def make_codec(method: str, vocab_size: int, **params):
     if method == "huffman":
         return HuffmanCodec(number("k"))
     if method == "patient_huffman":
-        return PatientHuffmanCodec(number("k", default=3), number("delta", float))
-    if method == "arithmetic":
-        return ArithmeticCodec(number("h"), number("precision", default=52))
-    raise ConfigError(f"unknown method {method!r}")
+        return PatientHuffmanCodec(number("k", default=3), number("delta"))
+    return ArithmeticCodec(number("h"))

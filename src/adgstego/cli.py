@@ -40,7 +40,6 @@ DEFAULT_CONFIG: Dict = {
         "k": 3,
         "delta": 1.0,
         "h": 100,
-        "precision": 52,
         "min_len": 5,
         "max_len": 200,
         "max_tokens": 1_000_000,
@@ -137,8 +136,15 @@ def _generation_config(cfg: Dict) -> runner.GenerationConfig:
 
 def _codec_from_config(spec: Dict, cfg: Dict, vocab_size: int):
     params = {k: v for k, v in spec.items() if k != "method"}
-    params.setdefault("partition_seed", cfg["seeds"]["partition"])
+    if spec.get("method") == "bins":
+        params.setdefault("partition_seed", cfg["seeds"]["partition"])
     return baselines.make_codec(spec.get("method"), vocab_size, **params)
+
+
+def _section_codec(cfg: Dict, vocab_size: int):
+    # The codec section holds every method's keys; the selected method takes only its own.
+    takes = {"method", *baselines.CODEC_PARAMS.get(cfg["codec"]["method"], ())}
+    return _codec_from_config({k: v for k, v in cfg["codec"].items() if k in takes}, cfg, vocab_size)
 
 
 def _load_model(model_path: str, vocab_path: str):
@@ -186,7 +192,7 @@ def _read_payload(args) -> bytes:
 
 def cmd_embed(args, cfg: Dict) -> None:
     model, vocab = _load_model(args.model, args.vocab)
-    codec = _codec_from_config(cfg["codec"], cfg, len(vocab))
+    codec = _section_codec(cfg, len(vocab))
     msg = frame(_read_payload(args))
     gen_cfg = _generation_config(cfg)
     gen_cfg.collect_stats = bool(args.out_trace)
@@ -203,7 +209,7 @@ def cmd_embed(args, cfg: Dict) -> None:
 
 def cmd_extract(args, cfg: Dict) -> None:
     model, vocab = _load_model(args.model, args.vocab)
-    codec = _codec_from_config(cfg["codec"], cfg, len(vocab))
+    codec = _section_codec(cfg, len(vocab))
     sentences = []
     for surface in corpus.read_corpus(args.stego):
         try:

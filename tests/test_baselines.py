@@ -259,8 +259,8 @@ def test_arithmetic_rejects_tail_token():
 def test_arithmetic_parameter_validation():
     with pytest.raises(ValueError):
         ArithmeticCodec(1)
-    with pytest.raises(ValueError):
-        ArithmeticCodec(10, precision=10)
+    with pytest.raises(ConfigError, match="not precision"):
+        make_codec("arithmetic", 100, h=10, precision=40)
 
 
 # ---------------------------------------------------------------- factory
@@ -280,3 +280,8 @@ def test_make_codec_dispatch():
                                 ("arithmetic", "h", "50"), ("patient_huffman", "delta", "x")]:
         with pytest.raises(ConfigError, match=f"parameter {name} "):
             make_codec(method, 100, **{name: value})
+    # A parameter the method does not take is an error, not ignored.
+    for method, params, unknown in [("arithmetic", {"h": 300, "precison": 40}, "precison"),
+                                    ("huffman", {"k": 5, "h": 3}, "h")]:
+        with pytest.raises(ConfigError, match=f"not {unknown}$"):
+            make_codec(method, 100, **params)

@@ -99,6 +99,7 @@ def test_embed_extract_other_codecs(workdir, capsys):
         ["--set", "codec.method=huffman", "--set", "codec.k=5"],
         ["--set", "codec.method=arithmetic", "--set", "codec.h=200"],
         ["--set", "codec.method=bins", "--set", "codec.b=4"],
+        ["--set", "codec.method=patient_huffman", "--set", "codec.k=4", "--set", "codec.delta=0.5"],
     ):
         assert main(
             overrides + [
@@ -391,6 +392,7 @@ def _vocab_without_reserved_ids_argv(workdir, tmp_path):
         lambda w, t: ["--set", "codec.min_len=true"] + _embed_argv(w, t),
         lambda w, t: ["--set", "preprocess.docs_per_line=nope"] + _preprocess_argv(t),
         lambda w, t: ["--set", "bench.methods=[{method: huffman, k: 5.9}]"] + _bench_argv(w, t),
+        lambda w, t: ["--set", "bench.methods=[{method: arithmetic, h: 300, precison: 40}]"] + _bench_argv(w, t),
         lambda w, t: ["--set", "bench.vector_dim=-1"] + _small_bench_argv(w, t),
         lambda w, t: ["--set", "bench.vector_dim=0"] + _small_bench_argv(w, t),
         lambda w, t: ["--set", "bench.vector_dim=-1"] + _metrics_argv(w, t),
@@ -417,7 +419,8 @@ def _vocab_without_reserved_ids_argv(workdir, tmp_path):
          "payload-is-a-directory", "bench-method-not-mapping", "bench-methods-not-list",
          "bench-method-value-not-json", "bench-payload-bits-not-whole-bytes", "bench-payload-bits-negative",
          "bench-payload-bits-float", "min-len-bool", "docs-per-line-not-bool", "bench-method-k-float",
-         "bench-vector-dim-negative", "bench-vector-dim-zero", "metrics-vector-dim-negative",
+         "bench-method-unknown-parameter", "bench-vector-dim-negative", "bench-vector-dim-zero",
+         "metrics-vector-dim-negative",
          "model-successor-id-past-vocab", "model-successor-id-negative",
          "model-vocab-size-wrong", "model-context-id-past-vocab", "model-order-one", "model-k-zero",
          "trace-bits-not-number", "trace-payload-bits-not-int", "trace-kld-not-number", "stego-not-utf8",
