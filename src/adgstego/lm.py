@@ -151,8 +151,8 @@ class ConditionalDistribution:
 
     @classmethod
     def from_probs(cls, token_ids: Sequence[int], probs: Sequence[float]) -> "ConditionalDistribution":
-        """Quantize ``probs`` to masses summing to ``2**31``; ids must be distinct."""
-        ids = np.asarray(token_ids, dtype=np.int64)
+        """Quantize ``probs`` to masses summing to ``2**31``; ids must be distinct integers."""
+        ids = np.asarray(token_ids)
         if ids.size != len(probs):
             raise QuantizationError("ids and probs length mismatch")
         if ids.size != np.unique(ids).size:

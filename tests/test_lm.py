@@ -119,6 +119,9 @@ def test_distribution_rejects_empty_or_mismatched():
                         ([0, 1], [3, "4"]), ([0.5, 1.7], [3, 4]), ([0], np.asarray([2**63 + 5], dtype=np.uint64))]:
         with pytest.raises(QuantizationError):
             ConditionalDistribution(ids, masses)
+    for ids in ([0.5, 1.7], [True, False], ["3", 2]):
+        with pytest.raises(QuantizationError):
+            ConditionalDistribution.from_probs(ids, [0.5, 0.5])
 
 
 def test_distribution_rejects_zero_mass():
