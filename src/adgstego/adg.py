@@ -297,7 +297,7 @@ def implicit_q(dist: ConditionalDistribution) -> np.ndarray:
     # singletons straight into q, and only the other groups become nodes.
     node = _Node(np.arange(len(dist), dtype=np.int64), dist.masses, dist.denominator)
     if node.u < 2:
-        return dist.masses / dist.denominator
+        return dist.probs()  # the root is a leaf: embedding samples from p
     q = np.zeros(len(dist), dtype=np.float64)
     stack = [(node, 1.0)]
     while stack:
