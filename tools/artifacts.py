@@ -10,6 +10,13 @@ byte-identical.  Run from anywhere:
 
     python3 tools/artifacts.py                  # this checkout's src/
     python3 tools/artifacts.py path/to/other/src
+    python3 tools/artifacts.py --check tests/vectors/wire-digests.txt
+
+``--check FILE`` also compares the digests that FILE lists (lines in the
+format printed here) and exits 1 if one differs.  The committed file
+lists the wire artifacts only, the stego file and the extracted hex: the
+bench CSV, the trace and the metrics JSON hold float statistics from
+numpy, which may differ between CPUs without any change on the wire.
 
 The whole run takes about 15 s on one core of a 2-vCPU VM.
 """
@@ -31,6 +38,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", nargs="?", default=str(DEFAULT_SRC),
                         help="directory holding the adgstego package (default: this checkout's src/)")
+    parser.add_argument("--check", metavar="FILE",
+                        help="exit 1 unless each digest listed in FILE matches the one printed")
     args = parser.parse_args()
     src = Path(args.src).resolve()
     if not (src / "adgstego" / "cli.py").is_file():
@@ -68,8 +77,16 @@ def main() -> int:
             "extract --hex-out": extracted,
             "metrics --acc 0.7": report,
         }
-    for name, data in artifacts.items():
-        print(f"{hashlib.sha256(data).hexdigest()}  {name}")
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()}
+    for name, digest in digests.items():
+        print(f"{digest}  {name}")
+    if args.check:
+        with open(args.check, encoding="utf-8") as fh:
+            expected = [line.rstrip("\n").split("  ", 1) for line in fh if line.strip()]
+        wrong = [name for digest, name in expected if digests.get(name) != digest]
+        if wrong:
+            print(f"digests differ from {args.check}: {', '.join(wrong)}", file=sys.stderr)
+            return 1
     return 0
 
 
