@@ -193,17 +193,10 @@ class PatientHuffmanCodec(HuffmanCodec):
     def _patient(self, dist) -> bool:
         return not (_huffman_distortion(dist, self.k) < self.delta)
 
-    def _sample_full(self, dist, sample_rng) -> int:
-        cumsum = dist.cache.get("cumsum")
-        if cumsum is None:
-            cumsum = np.cumsum(dist.masses)
-            dist.cache["cumsum"] = cumsum
-        return sample_token(sample_rng, dist.token_ids, cumsum, dist.denominator)
-
     # The steps name HuffmanCodec: super() costs a tenth of a warm step on CPython 3.11.
     def embed_step(self, dist, msg, sample_rng, pad_rng):
         if self._patient(dist):
-            return self._sample_full(dist, sample_rng), 0, None
+            return sample_token(sample_rng, dist.token_ids, np.cumsum(dist.masses), dist.denominator), 0, None
         return HuffmanCodec.embed_step(self, dist, msg, sample_rng, pad_rng)
 
     def extract_step(self, dist, token_id) -> List[int]:
@@ -263,7 +256,7 @@ class ArithmeticCodec(Codec):
             top = min(self.h, len(dist))
             cum = np.cumsum(dist.masses[:top]).tolist()
             positions = dict(zip(dist.token_ids[:top].tolist(), range(top)))
-            hit = (cum, cum[-1] if cum else 0, positions)
+            hit = (cum, cum[-1], positions)
             dist.cache[key] = hit
         return hit
 

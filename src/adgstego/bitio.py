@@ -45,11 +45,14 @@ class BitMessage:
     """A bit sequence with a read cursor.
 
     Single-owner object: one embedding stream reads it front to back.
+    ``payload_bits`` counts the bits that are payload: all of them, unless
+    :func:`frame` built the message.
     """
 
     def __init__(self, bits: Iterable[int]):
         self._bits = [b & 1 for b in bits]
         self.cursor = 0
+        self.payload_bits = len(self._bits)
 
     def __len__(self) -> int:
         return len(self._bits)
@@ -79,7 +82,9 @@ def frame(payload: "bytes | Sequence[int]") -> BitMessage:
         raise ConfigError(f"payload of {size} bits exceeds the 32-bit frame header")
     bits = bytes_to_bits(payload) if packed else [b & 1 for b in payload]
     header = [(len(bits) >> shift) & 1 for shift in range(HEADER_BITS - 1, -1, -1)]
-    return BitMessage(header + bits)
+    msg = BitMessage(header + bits)
+    msg.payload_bits = len(bits)
+    return msg
 
 
 def deframe(bits: Sequence[int]) -> List[int]:

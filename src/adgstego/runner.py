@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bitio import HEADER_BITS, BitMessage
+from .bitio import BitMessage
 from .corpus import BOS_ID, EOS_ID
 from .errors import CapacityError, ConfigError, DesyncError, ProviderError
 from .lm import ConditionalDistribution
@@ -233,10 +233,12 @@ def embed_text(
         method=codec.name,
         params=dict(codec.params),
         frame_bits=len(msg),
-        payload_bits=max(len(msg) - HEADER_BITS, 0),
+        payload_bits=msg.payload_bits,
     )
+    # Stats depend only on the distribution and the codec parameters, so
+    # they are cached per distribution under this key.
+    stats_key = ("stats", codec.name, tuple(sorted(codec.params.items())))
     sentences: List[List[int]] = []
-    total_tokens = 0
     while True:
         if len(sentences) >= cfg.max_sentences:
             raise CapacityError(
@@ -245,7 +247,7 @@ def embed_text(
         context = [BOS_ID]
         content: List[int] = []
         while True:
-            if total_tokens >= cfg.max_tokens and not codec.delivered(msg):
+            if len(trace.steps) >= cfg.max_tokens and not codec.delivered(msg):
                 raise CapacityError(f"message not delivered within {cfg.max_tokens} tokens")
             if len(content) >= cfg.max_len:
                 token, record = EOS_ID, StepRecord(token=EOS_ID, bits=0.0, forced=True)
@@ -254,16 +256,12 @@ def embed_text(
                 token, bits, detail = codec.embed_step(dist, msg, sample_rng, pad_rng)
                 record = StepRecord(token=token, bits=float(bits), group_sizes=detail)
                 if cfg.collect_stats:
-                    # Stats depend only on the distribution and the codec
-                    # parameters, so they are cached per distribution.
-                    skey = ("stats", codec.name, tuple(sorted(codec.params.items())))
-                    stats = dist.cache.get(skey)
+                    stats = dist.cache.get(stats_key)
                     if stats is None:
                         stats = _step_stats(dist, *codec.step_q(dist))
-                        dist.cache[skey] = stats
+                        dist.cache[stats_key] = stats
                     record.kld_qp, record.kld_pq, record.entropy = stats
             trace.steps.append(record)
-            total_tokens += 1
             if token == EOS_ID:
                 break
             content.append(token)

@@ -121,6 +121,12 @@ def test_trace_totals_and_save_load(tmp_path, provider):
         assert a.kld_qp == pytest.approx(b.kld_qp)
 
 
+def test_bare_message_counts_every_bit_as_payload(provider):
+    cfg = GenerationConfig(sample_seed=3, pad_seed=4)
+    _sentences, trace = embed_text(ADGCodec(), BitMessage([1, 0, 1] * 4), provider, cfg)
+    assert trace.frame_bits == trace.payload_bits == 12
+
+
 def test_stats_collection_fills_all_unforced_steps(provider):
     cfg = GenerationConfig(sample_seed=5, pad_seed=6, collect_stats=True)
     _sentences, trace = embed_text(ADGCodec(), frame(b"stats"), provider, cfg)
