@@ -228,14 +228,13 @@ def cmd_extract(args, cfg: Dict) -> None:
     log.info("recovered %d payload bytes", len(payload))
 
 
-def _bench_cell(model, vocab, cfg: Dict, spec: Dict, cell_key: str, cover: List[List[str]]):
+def _bench_cell(model, vocab, cfg: Dict, codec, cell_key: str, cover: List[List[str]]):
     n_sentences, payload_bits = cfg["bench"]["n_sentences"], cfg["bench"]["payload_bits"]
     gen_cfg = _generation_config(cfg)
     gen_cfg.collect_stats = True
     sample_seed, pad_seed = gen_cfg.sample_seed, gen_cfg.pad_seed
     digest = hashlib.sha256(f"{cfg['seeds']['payload']}:{cell_key}".encode("utf-8")).digest()
     payload_rng = random.Random(int.from_bytes(digest[:8], "big"))
-    codec = _codec_from_config(spec, cfg, len(vocab))
     provider = runner.CachedProvider(model)
     traces, stego_sentences = [], []
     message_index = 0
@@ -292,14 +291,16 @@ def cmd_bench(args, cfg: Dict) -> None:
     if vector_dim < 1:
         raise ConfigError(f"config key bench.vector_dim must be >= 1, got {vector_dim}")
     model, vocab = _load_model(args.model, args.vocab)
+    # Every spec's codec is built before the first cell runs, so a bad spec fails at once.
+    codecs = [_codec_from_config(spec, cfg, len(vocab)) for spec in specs]
     test_sentences = corpus.read_corpus(args.corpus)
     cover_rng = random.Random(cfg["seeds"]["cover"])
     cover = list(test_sentences)
     cover_rng.shuffle(cover)
     rows = []
-    for spec, cell_key in zip(specs, cell_keys):
+    for codec, cell_key in zip(codecs, cell_keys):
         log.info("bench cell: %s", cell_key)
-        rows.append(_bench_cell(model, vocab, cfg, spec, cell_key, cover))
+        rows.append(_bench_cell(model, vocab, cfg, codec, cell_key, cover))
     columns = [f.name for f in dataclasses.fields(metrics.MetricReport) if f.name not in _BENCH_OMITTED]
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("# seeds=" + json.dumps(cfg["seeds"], sort_keys=True) + "\n")

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from adgstego import embed_text, frame, make_codec
+from adgstego import embed_text, frame, make_codec, runner
 from adgstego.bundled import toy_corpus_path
 from adgstego.cli import DEFAULT_CONFIG, _generation_config, _load_model, load_config, main
 from adgstego.corpus import write_corpus
@@ -431,6 +431,18 @@ def test_bad_input_exits_with_one_error_line(workdir, tmp_path, caplog, build_ar
     argv = build_argv(workdir, tmp_path)
     caplog.clear()
     assert main(argv) == 1
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and errors[0].exc_info is None
+
+
+def test_bench_rejects_a_later_bad_spec_before_any_cell_runs(workdir, tmp_path, caplog, monkeypatch):
+    def embed_text(*args, **kwargs):
+        raise AssertionError("a cell ran before every spec was checked")
+
+    monkeypatch.setattr(runner, "embed_text", embed_text)
+    caplog.clear()
+    assert main(["--set", "bench.methods=[{method: adg}, {method: arithmetic, h: 300, precison: 40}]"]
+                + _bench_argv(workdir, tmp_path)) == 1
     errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and errors[0].exc_info is None
 
