@@ -30,12 +30,21 @@ from .lm import ConditionalDistribution
 
 
 class CachedProvider:
-    """Memoizes quantized distributions (and their EOS-masked variants) by context."""
+    """Memoizes quantized distributions (and their EOS-masked variants) by context.
 
-    def __init__(self, provider, max_entries: int = 200_000):
+    The cache holds at most ``MAX_ENTRIES`` token entries over all its
+    distributions and evicts the oldest distributions first; the newest is
+    always kept, so a distribution larger than the bound is still served.
+    """
+
+    # 16 bytes of ids and masses per entry, so ~270 MB before grouping trees;
+    # every distribution of the bundled bigram model, masked and not, is ~1.6 M entries.
+    MAX_ENTRIES = 1 << 24
+
+    def __init__(self, provider):
         self._provider = provider
-        self._max_entries = max_entries
         self._cache: "OrderedDict[Tuple, ConditionalDistribution]" = OrderedDict()
+        self._entries = 0
         # A provider may declare that only the trailing N context tokens
         # influence its output; keys truncate accordingly so one cached
         # distribution (and its grouping tree) serves every equivalent
@@ -55,8 +64,9 @@ class CachedProvider:
         else:
             dist = self._provider.next_distribution(list(context))
         self._cache[key] = dist
-        if len(self._cache) > self._max_entries:
-            self._cache.popitem(last=False)
+        self._entries += len(dist)
+        while self._entries > self.MAX_ENTRIES and len(self._cache) > 1:
+            self._entries -= len(self._cache.popitem(last=False)[1])
         return dist
 
 

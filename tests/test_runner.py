@@ -95,12 +95,32 @@ def test_cached_provider_returns_identical_objects(model):
     assert masked is provider.get((BOS_ID,), True)
 
 
-def test_cached_provider_eviction(model):
-    provider = CachedProvider(model, max_entries=2)
+def test_cached_provider_eviction(model, monkeypatch):
+    monkeypatch.setattr(CachedProvider, "MAX_ENTRIES", 2 * model.vocab_size)  # two distributions
+    provider = CachedProvider(model)
     first = provider.get((BOS_ID,), False)
     provider.get((BOS_ID, 4), False)
     provider.get((BOS_ID, 5), False)  # evicts the oldest entry
     assert provider.get((BOS_ID,), False) is not first
+
+
+class SizedProvider:
+    """A uniform distribution over as many tokens as the context's last id."""
+
+    def next_distribution(self, context):
+        return ConditionalDistribution(range(context[-1]), [1] * context[-1])
+
+
+def test_cached_provider_bounds_the_entries_it_holds(monkeypatch):
+    monkeypatch.setattr(CachedProvider, "MAX_ENTRIES", 10)
+    provider = CachedProvider(SizedProvider())
+    four, five = provider.get((BOS_ID, 4), False), provider.get((BOS_ID, 5), False)  # 9 entries held
+    assert provider.get((BOS_ID, 4), False) is four
+    provider.get((BOS_ID, 3), False)  # 12 entries: the oldest goes
+    assert provider.get((BOS_ID, 5), False) is five
+    assert provider.get((BOS_ID, 4), False) is not four
+    big = provider.get((BOS_ID, 20), False)  # above the bound alone: served, and held until the next miss
+    assert len(big) == 20 and provider.get((BOS_ID, 20), False) is big
 
 
 def test_trace_totals_and_save_load(tmp_path, provider):
