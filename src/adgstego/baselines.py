@@ -95,11 +95,9 @@ def _build_huffman(dist: ConditionalDistribution, k: int):
     hit = dist.cache.get(key)
     if hit is not None:
         return hit
-    top = min(1 << k, len(dist))
-    heap = []
-    for pos in range(top):
-        token = int(dist.token_ids[pos])
-        heapq.heappush(heap, (int(dist.masses[pos]), token, token))
+    top = 1 << k
+    heap = [(mass, token, token) for mass, token in zip(dist.masses[:top].tolist(), dist.token_ids[:top].tolist())]
+    heapq.heapify(heap)  # token ids are distinct, so the pop order does not depend on the layout
     while len(heap) > 1:
         mass_a, min_a, left = heapq.heappop(heap)
         mass_b, min_b, right = heapq.heappop(heap)
@@ -120,9 +118,8 @@ def _build_huffman(dist: ConditionalDistribution, k: int):
 
 def _codeword_probs(dist: ConditionalDistribution, k: int) -> np.ndarray:
     """Probability ``2**-len(code)`` of each top-``2**k`` entry's Huffman codeword, by position."""
-    _root, codes = _build_huffman(dist, k)
-    top = min(1 << k, len(dist))
-    return np.array([2.0 ** -len(codes[token]) for token in dist.token_ids[:top].tolist()])
+    _root, codes = _build_huffman(dist, k)  # one code per top entry
+    return np.array([2.0 ** -len(codes[token]) for token in dist.token_ids[: len(codes)].tolist()])
 
 
 class HuffmanCodec(Codec):
@@ -164,10 +161,10 @@ def _huffman_distortion(dist: ConditionalDistribution, k: int) -> float:
     hit = dist.cache.get(key)
     if hit is not None:
         return hit
-    top = min(1 << k, len(dist))
-    total = int(dist.masses[:top].sum())
-    ps = [mass / total for mass in dist.masses[:top].tolist()]
-    d = kl_divergence_bits(_codeword_probs(dist, k).tolist(), ps)
+    q = _codeword_probs(dist, k).tolist()
+    total = int(dist.masses[: len(q)].sum())
+    ps = [mass / total for mass in dist.masses[: len(q)].tolist()]
+    d = kl_divergence_bits(q, ps)
     dist.cache[key] = d
     return d
 
@@ -253,9 +250,8 @@ class ArithmeticCodec(Codec):
         key = ("arith", self.h)
         hit = dist.cache.get(key)
         if hit is None:
-            top = min(self.h, len(dist))
-            cum = np.cumsum(dist.masses[:top]).tolist()
-            positions = dict(zip(dist.token_ids[:top].tolist(), range(top)))
+            cum = np.cumsum(dist.masses[: self.h]).tolist()
+            positions = dict(zip(dist.token_ids[: self.h].tolist(), range(len(cum))))
             hit = (cum, cum[-1], positions)
             dist.cache[key] = hit
         return hit

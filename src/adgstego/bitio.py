@@ -45,8 +45,7 @@ class BitMessage:
     """A bit sequence with a read cursor.
 
     Single-owner object: one embedding stream reads it front to back.
-    ``payload_bits`` counts the bits that are payload: all of them, unless
-    :func:`frame` built the message.
+    ``payload_bits`` counts its payload: every bit, unless :func:`frame` built it.
     """
 
     def __init__(self, bits: Iterable[int]):

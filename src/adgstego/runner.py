@@ -32,14 +32,11 @@ from .lm import ConditionalDistribution
 class CachedProvider:
     """Memoizes quantized distributions (and their EOS-masked variants) by context.
 
-    The cache holds at most ``MAX_ENTRIES`` token entries over all its
-    distributions and evicts the oldest distributions first; the newest is
-    always kept, so a distribution larger than the bound is still served.
+    Holds at most ``MAX_ENTRIES`` token entries, evicting the oldest
+    distributions first but always keeping the newest, however large.
     """
 
-    # 16 bytes of ids and masses per entry, so ~270 MB before grouping trees;
-    # every distribution of the bundled bigram model, masked and not, is ~1.6 M entries.
-    MAX_ENTRIES = 1 << 24
+    MAX_ENTRIES = 1 << 24  # 16 bytes each before trees; the bundled model's ~1.6 M all fit
 
     def __init__(self, provider):
         self._provider = provider
@@ -245,8 +242,7 @@ def embed_text(
         frame_bits=len(msg),
         payload_bits=msg.payload_bits,
     )
-    # Stats depend only on the distribution and the codec parameters, so
-    # they are cached per distribution under this key.
+    # Stats depend only on the distribution and the codec parameters.
     stats_key = ("stats", codec.name, tuple(sorted(codec.params.items())))
     sentences: List[List[int]] = []
     while True:
