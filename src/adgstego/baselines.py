@@ -97,7 +97,7 @@ def _build_huffman(dist: ConditionalDistribution, k: int):
         return hit
     top = 1 << k
     heap = [(mass, token, token) for mass, token in zip(dist.masses[:top].tolist(), dist.token_ids[:top].tolist())]
-    heapq.heapify(heap)  # token ids are distinct, so the pop order does not depend on the layout
+    heapq.heapify(heap)  # pops follow (mass, lowest id), whatever the layout
     while len(heap) > 1:
         mass_a, min_a, left = heapq.heappop(heap)
         mass_b, min_b, right = heapq.heappop(heap)
