@@ -96,6 +96,7 @@ def _codec_dists():
 
 CODEC_BITS = "".join(format(b, "08b") for b in hashlib.sha256(b"wire vectors").digest()[:16])
 CODEC_STEPS = [0, 1, 0, 0]  # indices into the distributions, one per step
+SAMPLE_SEED, PAD_SEED = 11, 12
 
 
 def quantize_vectors():
@@ -113,10 +114,10 @@ def quantize_vectors():
 def grouping_vectors(masses):
     """Every internal node of the grouping tree over ``masses`` (mass-desc), root first."""
     m = np.asarray(masses, dtype=np.int64)
-    stack = [((), _Node(np.arange(m.size, dtype=np.int64), m, int(m.sum())))]
+    queue = [((), _Node(np.arange(m.size, dtype=np.int64), m, int(m.sum())))]
     nodes = []
-    while stack:
-        path, node = stack.pop(0)
+    while queue:
+        path, node = queue.pop(0)
         if node.u < 2:
             continue
         labels = np.empty(len(node.token_ids), dtype=np.int64)
@@ -127,7 +128,7 @@ def grouping_vectors(masses):
             labels[members] = g
             totals.append(int(child.total_mass))
             heads.append(int(members[0]))
-            stack.append((path + (g,), child))
+            queue.append((path + (g,), child))
         nodes.append({"path": list(path), "u": node.u, "labels": labels.tolist(), "totals": totals, "heads": heads})
     return nodes
 
@@ -137,7 +138,7 @@ def codec_vectors(method):
     dists = [ConditionalDistribution(ids, masses) for ids, masses in _codec_dists()]
     codec.begin_embed()
     msg = BitMessage(int(b) for b in CODEC_BITS)
-    sample_rng, pad_rng = random.Random(11), random.Random(12)
+    sample_rng, pad_rng = random.Random(SAMPLE_SEED), random.Random(PAD_SEED)
     tokens, cursors = [], []
     for step in CODEC_STEPS:
         token, _bits, _detail = codec.embed_step(dists[step], msg, sample_rng, pad_rng)
@@ -156,8 +157,8 @@ def build_vectors():
         "codecs": {
             "vocab_size": CODEC_VOCAB,
             "bits": CODEC_BITS,
-            "sample_seed": 11,
-            "pad_seed": 12,
+            "sample_seed": SAMPLE_SEED,
+            "pad_seed": PAD_SEED,
             "distributions": [{"ids": ids, "masses": masses} for ids, masses in _codec_dists()],
             "steps": CODEC_STEPS,
             "results": [codec_vectors(method) for method in sorted(CODEC_PARAMS)],
@@ -207,7 +208,8 @@ def test_frame_bits(vectors):
 def test_codec_tokens(vectors):
     case = vectors["codecs"]
     assert [{"ids": ids, "masses": masses} for ids, masses in _codec_dists()] == case["distributions"]
-    assert (CODEC_BITS, CODEC_STEPS) == (case["bits"], case["steps"])
+    assert (CODEC_BITS, CODEC_STEPS, SAMPLE_SEED, PAD_SEED) == (case["bits"], case["steps"], case["sample_seed"],
+                                                                case["pad_seed"])
     for expected in case["results"]:
         assert codec_vectors(expected["method"]) == expected, expected["method"]
 
