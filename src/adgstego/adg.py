@@ -48,11 +48,14 @@ the final group.  Extraction replays the recursion, at each level taking
 the group that holds the observed token, and carries the token's index
 among the node's members down the tree.
 
-``implicit_q`` needs every group's probability, so it walks a fresh tree
-of its own and runs each node's greedy to the end.  A group whose head
-mass and total make it a leaf (``u < 2``), or that holds ``u``
-singletons, is written into q at once with its node's other such groups;
-only the groups that split further become nodes.
+``implicit_q`` needs every group's probability, so it walks the tree
+one level at a time and builds no node, leaving the cached tree as it
+found it.  A level is the members of that depth's internal nodes,
+concatenated.  The greedy runs to the end on each node's slice, and then
+one numpy pass settles the whole level: every group's ``u`` from its
+head mass and total, q for the leaf groups (``u < 2``) and for the groups
+of ``u`` singletons, and the members of the groups that split further,
+which make up the next level.
 """
 
 from __future__ import annotations
@@ -204,14 +207,16 @@ class _Node:
     extraction against one distribution share one tree.  The greedy writes
     each member's group into the int32 table ``_label`` as it places the
     member, and ``child`` and ``locate`` read it.  Once the greedy ends
-    its typed buffers and union-find pointers are freed; the labels, group
-    totals and group heads stay, and ``implicit_q`` reads them.
+    its typed buffers and union-find pointers are freed, and the labels
+    and group totals stay.  A child learns its ``u`` from its first mass,
+    so the node keeps no group heads; ``implicit_q`` runs the greedy
+    itself and builds no node.
     ``locate`` memoizes each member's index inside its group in a second
     int32 table, so a repeated lookup is two array reads.
     """
 
     __slots__ = ("token_ids", "masses", "total_mass", "u", "_children", "_greedy", "_label", "_totals",
-                 "_heads", "_index_in", "_cumsum", "_member_ids")
+                 "_index_in", "_cumsum", "_member_ids")
 
     def __init__(self, token_ids: np.ndarray, masses: np.ndarray, total_mass: int, u: Optional[int] = None):
         self.token_ids = token_ids
@@ -228,8 +233,7 @@ class _Node:
         if self.u > 1:
             self._label = array("i", [u - 1]) * len(token_ids)
             self._totals: List[int] = []
-            self._heads: List[int] = []
-            self._greedy = _greedy(masses, u, self._label, self._totals, self._heads)
+            self._greedy = _greedy(masses, u, self._label, self._totals, [])
 
     def _form(self, g: int) -> None:
         """Run the greedy until group ``g`` is formed."""
@@ -291,35 +295,46 @@ def implicit_q(dist: ConditionalDistribution) -> np.ndarray:
     level contributes a factor ``1/u`` for its group, and the final group
     contributes the token's renormalized mass.
     """
-    # A fresh root, not the cached tree, so the tree holds only what
-    # embedding and extraction built.  A group's u follows from its head
-    # mass and total, so a node writes its leaf groups and its groups of u
-    # singletons straight into q, and only the other groups become nodes.
-    node = _Node(np.arange(len(dist), dtype=np.int64), dist.masses, dist.denominator)
-    if node.u < 2:
+    masses = dist.masses
+    u = group_count(int(masses[0]), dist.denominator)
+    if u < 2:
         return dist.probs()  # the root is a leaf: embedding samples from p
     q = np.zeros(len(dist), dtype=np.float64)
-    stack = [(node, 1.0)]
-    while stack:
-        node, scale = stack.pop()
-        for _ in node._greedy:
-            pass
-        scale /= node.u
-        positions, masses, totals = node.token_ids, node.masses, node._totals
-        label = np.frombuffer(node._label, np.intc)
+    # One tree level at a time, without nodes: the level's internal nodes'
+    # members concatenated, and each node's size, u and scale (its reach
+    # over u).  The greedy groups each node; one pass then settles the
+    # whole level.
+    positions = np.arange(len(dist), dtype=np.int64)
+    sizes, us, scales = np.array([len(dist)]), np.array([u]), np.array([1.0 / u])
+    while sizes.size:
+        labels, totals, heads = [], [], []
+        start = 0
+        for size, u in zip(sizes.tolist(), us.tolist()):
+            labels.append(array("i", [u - 1]) * size)
+            for _ in _greedy(masses[start:start + size], u, labels[-1], totals, heads):
+                pass
+            start += size
+        node_of_group = np.repeat(np.arange(sizes.size), us)
+        # Groups are numbered across the level: node k's follow those of nodes 0..k-1.
+        label = np.frombuffer(b"".join(labels), np.intc) + np.repeat(us.cumsum() - us, sizes)
         tot = np.asarray(totals, dtype=np.int64)
-        us = [group_count(h, t) for h, t in zip(masses[node._heads].tolist(), totals)]
-        if max(us) < 2:
-            q[positions] = scale * (masses / tot[label])
-            continue
-        us = np.asarray(us, dtype=np.int64)
-        leaf = us < 2
-        flat = ~leaf & (us == np.bincount(label, minlength=len(us)))
+        head_mass = masses[np.asarray(heads, dtype=np.int64) + (sizes.cumsum() - sizes)[node_of_group]]
+        # Each group's group_count: tot // head_mass is at most the group's size, so float64 holds it exactly.
+        group_us = np.left_shift(1, np.frexp(tot // head_mass)[1] - 1, dtype=np.int64)
+        group_scales = scales[node_of_group]
+        counts = np.bincount(label, minlength=tot.size)
+        leaf = group_us < 2
+        flat = ~leaf & (group_us == counts)  # u singletons, each reached with the group's scale / u
         at = leaf[label]
-        q[positions[at]] = scale * (masses[at] / tot[label[at]])
+        q[positions[at]] = group_scales[label[at]] * (masses[at] / tot[label[at]])
         at = flat[label]
-        q[positions[at]] = scale / us[label[at]]
-        stack.extend((node.child(g), scale) for g in (~(leaf | flat)).nonzero()[0].tolist())
+        q[positions[at]] = group_scales[label[at]] / group_us[label[at]]
+        split = ~(leaf | flat)
+        members = split[label].nonzero()[0]
+        members = members[np.argsort(label[members], kind="stable")]
+        positions, masses = positions[members], masses[members]
+        sizes, us = counts[split], group_us[split]
+        scales = group_scales[split] / us
     return q
 
 
