@@ -33,7 +33,9 @@ class CachedProvider:
     """Memoizes quantized distributions (and their EOS-masked variants) by context.
 
     Holds at most ``MAX_ENTRIES`` token entries, evicting the oldest
-    distributions first but always keeping the newest, however large.
+    distributions first but always keeping the newest, however large.  A
+    no-op EOS mask leaves one object under both of a context's keys, and
+    it counts once, for as long as either key holds it.
     """
 
     MAX_ENTRIES = 1 << 24  # 16 bytes each before trees; the bundled model's ~1.6 M all fit
@@ -61,9 +63,12 @@ class CachedProvider:
         else:
             dist = self._provider.next_distribution(list(context))
         self._cache[key] = dist
-        self._entries += len(dist)
+        if self._cache.get((key[0], not mask_eos)) is not dist:
+            self._entries += len(dist)
         while self._entries > self.MAX_ENTRIES and len(self._cache) > 1:
-            self._entries -= len(self._cache.popitem(last=False)[1])
+            (context, masked), old = self._cache.popitem(last=False)
+            if self._cache.get((context, not masked)) is not old:
+                self._entries -= len(old)
         return dist
 
 

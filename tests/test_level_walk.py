@@ -3,7 +3,6 @@
 from array import array
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 

@@ -123,6 +123,36 @@ def test_cached_provider_bounds_the_entries_it_holds(monkeypatch):
     assert len(big) == 20 and provider.get((BOS_ID, 20), False) is big
 
 
+def assert_each_distribution_counted_once(provider):
+    held = {id(dist): len(dist) for dist in provider._cache.values()}
+    assert provider._entries == sum(held.values())
+
+
+def test_cached_provider_counts_a_no_op_eos_mask_once(monkeypatch):
+    monkeypatch.setattr(CachedProvider, "MAX_ENTRIES", 25)
+    provider = CachedProvider(SizedProvider())  # every mass is 1, so masking EOS changes nothing
+    ten = provider.get((BOS_ID, 10), False)
+    assert provider.get((BOS_ID, 10), True) is ten
+    assert_each_distribution_counted_once(provider)
+    assert provider._entries == 10
+    twelve = provider.get((BOS_ID, 12), True)  # 22 entries held under four keys
+    assert provider.get((BOS_ID, 12), False) is twelve and provider.get((BOS_ID, 10), False) is ten
+    provider.get((BOS_ID, 5), False)  # 27: both keys of the ten-token distribution go
+    assert_each_distribution_counted_once(provider)
+    assert provider._entries == 17 and len(provider._cache) == 3
+    assert provider.get((BOS_ID, 12), True) is twelve and provider.get((BOS_ID, 10), True) is not ten
+
+
+def test_cached_provider_counts_masked_and_unmasked_distributions_apart(model, monkeypatch):
+    monkeypatch.setattr(CachedProvider, "MAX_ENTRIES", 3 * model.vocab_size)
+    provider = CachedProvider(model)
+    for word in range(EOS_ID + 1, EOS_ID + 9):
+        plain, masked = provider.get((BOS_ID, word), False), provider.get((BOS_ID, word), True)
+        assert masked is not plain
+        assert_each_distribution_counted_once(provider)
+        assert provider._entries <= 3 * model.vocab_size
+
+
 def test_trace_totals_and_save_load(tmp_path, provider):
     cfg = GenerationConfig(sample_seed=3, pad_seed=4, collect_stats=True)
     _sentences, trace = embed_text(ADGCodec(), frame(b"hi"), provider, cfg)
