@@ -91,18 +91,6 @@ def quantize(probs: Sequence[float]) -> np.ndarray:
     return out
 
 
-def _has_duplicates(ids: np.ndarray) -> bool:
-    """Whether ``ids`` holds a value twice.
-
-    Nonnegative integer ids no larger than a few times their count, as a
-    vocabulary's are, are counted in one linear pass; any others, such as
-    one huge id that would need a huge counter array, are sorted.
-    """
-    if ids.dtype.kind == "i" and ids.size and int(ids.min()) >= 0 and int(ids.max()) < 4 * ids.size:
-        return bool(np.bincount(ids).max() > 1)
-    return np.unique(ids).size != ids.size
-
-
 class ConditionalDistribution:
     """Integer-mass next-token distribution, sorted by mass desc, ties by id asc.
 
@@ -167,7 +155,7 @@ class ConditionalDistribution:
         ids = np.asarray(token_ids)
         if ids.size != len(probs):
             raise QuantizationError("ids and probs length mismatch")
-        if _has_duplicates(ids):
+        if ids.size != np.unique(ids).size:
             raise QuantizationError("duplicate token ids in distribution")
         return cls(ids, quantize(probs))
 

@@ -66,8 +66,8 @@ class CachedProvider:
         if self._cache.get((key[0], not mask_eos)) is not dist:
             self._entries += len(dist)
         while self._entries > self.MAX_ENTRIES and len(self._cache) > 1:
-            (context, masked), old = self._cache.popitem(last=False)
-            if self._cache.get((context, not masked)) is not old:
+            (old_context, masked), old = self._cache.popitem(last=False)
+            if self._cache.get((old_context, not masked)) is not old:
                 self._entries -= len(old)
         return dist
 

@@ -143,6 +143,12 @@ def assert_implicit_q_identical(token_ids, masses):
 @example(([7], [5]))  # the root is a single token
 @example(([1, 2], [3, 1]))  # the root is a leaf
 @example((list(range(8)), [5] * 8))  # the root holds u singletons
+@example((list(range(16, 0, -1)), [4] * 16))  # the same, ties broken against the given order
+# Leaf (u < 2), flat (u singletons) and split groups on one level: the
+# root's, the second level's across several nodes, and four levels deep.
+@example((list(range(7, 0, -1)), [9, 9, 5, 5, 5, 3, 2]))
+@example((list(range(8, 0, -1)), [12, 9, 6, 6, 4, 4, 3, 3]))
+@example((list(range(10, 0, -1)), [12, 7, 6, 6, 5, 3, 3, 2, 2, 1]))
 def test_implicit_q_random_masses_against_oracle(dist):
     assert_implicit_q_identical(*dist)
 
@@ -167,6 +173,18 @@ def test_implicit_q_bundled_model_against_oracle(model):
 def test_implicit_q_zipf4096_eos_first_against_oracle(eos):
     dist = zipf4096_eos_first(eos, seed=int(eos * 1e9) + 7)
     assert implicit_q(dist).tobytes() == oracle_implicit_q(dist).tobytes()
+
+
+def test_implicit_q_builds_no_node(monkeypatch, model):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("implicit_q built a _Node")
+
+    dists = [zipf4096_eos_first(eos, seed=3) for eos in (0.0, 0.2)] + bos_successors(model, 5)
+    want = [oracle_implicit_q(dist).tobytes() for dist in dists]
+    monkeypatch.setattr(_Node, "__init__", refuse)
+    monkeypatch.setattr(_Node, "child", refuse)
+    assert [implicit_q(dist).tobytes() for dist in dists] == want
+    assert all("adg_tree" not in dist.cache for dist in dists)
 
 
 def test_implicit_q_leaves_the_cached_tree_as_it_found_it():

@@ -134,35 +134,6 @@ def test_distribution_from_probs_rejects_duplicates():
         ConditionalDistribution.from_probs([1, 1], [0.5, 0.5])
 
 
-def _reply(ids, probs):
-    return ExternalProvider(io.StringIO(json.dumps({"ids": list(ids), "probs": list(probs)}) + "\n"), io.StringIO())
-
-
-@pytest.mark.parametrize("ids", [[4, 0, 1, 4], [10**12, 7, 10**12]], ids=["counted", "sorted"])
-def test_external_provider_rejects_duplicate_ids(ids):
-    with pytest.raises(ProviderError, match="duplicate"):
-        _reply(ids, [1 / len(ids)] * len(ids)).next_distribution([BOS_ID])
-
-
-def test_external_provider_serves_a_huge_id_without_a_counter_per_id(monkeypatch):
-    counted = []
-    bincount = np.bincount
-    monkeypatch.setattr(np, "bincount", lambda ids, *args, **kw: counted.append(len(ids)) or bincount(ids, *args, **kw))
-    dist = _reply([5, 10**12, 9], [0.5, 0.25, 0.25]).next_distribution([BOS_ID])
-    assert dist.token_ids.tolist() == [5, 9, 10**12] and counted == []
-
-
-def test_duplicate_check_leaves_the_masses_as_quantize_gives_them():
-    rng = np.random.default_rng(11)
-    probs = rng.dirichlet(np.full(5_000, 0.3))
-    ids = rng.permutation(5_000)
-    want = ConditionalDistribution(ids, quantize(probs))
-    for offset in (0, 10**12):  # counted, then sorted
-        got = ConditionalDistribution.from_probs(ids + offset, probs)
-        assert got.masses.tobytes() == want.masses.tobytes()
-        assert (got.token_ids - offset).tobytes() == want.token_ids.tobytes()
-
-
 def _tiny_model(order=2, k=1.0):
     # corpus: "a b . a b . a c"
     sents = [["a", "b"], ["a", "b"], ["a", "c"]]
