@@ -2,7 +2,7 @@
 codec, four reference codecs, an n-gram LM backend and evaluation metrics.
 """
 
-from .adg import ADGCodec, equal_group, group_count, implicit_q
+from .adg import ADGCodec, group_count, implicit_q
 from .baselines import ArithmeticCodec, BinsCodec, HuffmanCodec, PatientHuffmanCodec, make_codec
 from .bitio import BitMessage, deframe, frame, index_to_bits, next_index
 from .corpus import PreprocessConfig, Vocabulary, build_vocab, preprocess, split
@@ -29,7 +29,6 @@ __all__ = [
     "build_vocab",
     "deframe",
     "embed_text",
-    "equal_group",
     "extract_text",
     "frame",
     "group_count",

@@ -35,11 +35,12 @@ locating a member both read that table.  The greedy also records each
 group's head, its first and largest member, so a group's own ``u`` is
 known without building the group.
 
-One node type, :class:`_Node`, is both a group that ``equal_group``
-returns and a level of the grouping tree: a node's own groups are its
-children.  The tree groups a distribution's positions, not its token ids:
-positions are already in grouping order, so no level sorts, and a token's
-position is the same at every level.
+The greedy has two drivers.  :class:`_Node`, a level of the grouping
+tree whose own groups are its children, pauses it between groups for
+embedding and extraction; ``equal_group`` runs it to the end over one
+node's masses for ``implicit_q``.  The tree groups a distribution's
+positions, not its token ids: positions are already in grouping order,
+so no level sorts, and a token's position is the same at every level.
 
 Embedding selects a group per ``log2(u)`` message bits and recurses into
 it (pruning: only the selected group is ever regrouped) until the current
@@ -51,7 +52,7 @@ among the node's members down the tree.
 ``implicit_q`` needs every group's probability, so it walks the tree
 one level at a time and builds no node, leaving the cached tree as it
 found it.  A level is the members of that depth's internal nodes,
-concatenated.  The greedy runs to the end on each node's slice, and then
+concatenated.  ``equal_group`` groups each node's slice, and then
 one numpy pass settles the whole level: every group's ``u`` from its
 head mass and total, q for the leaf groups (``u < 2``) and for the groups
 of ``u`` singletons, and the members of the groups that split further,
@@ -63,7 +64,7 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import bisect_left, bisect_right, insort
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -90,26 +91,6 @@ def _skip(pointers: Dict[int, int], i: int) -> int:
     while i != root:
         pointers[i], i = root, pointers[i]
     return root
-
-
-def equal_group(token_ids: Sequence[int], masses: Sequence[int], u: int) -> List["_Node"]:
-    """Partition a distribution into ``u`` near-equal groups.
-
-    Nearest-mass ties prefer the lower mass, then the lower token id, so
-    the result is unique for a given input.  The input need not be sorted;
-    each group's members come out in mass-desc, id-asc order.
-    """
-    if u < 1 or (u & (u - 1)) != 0:
-        raise StegoError(f"group count {u} is not a power of two")
-    ids = np.asarray(token_ids, dtype=np.int64)
-    m = np.asarray(masses, dtype=np.int64)
-    n = int(ids.size)
-    if u == 1:
-        return [_Node(ids.copy(), m.copy(), int(m.sum()), 1)]
-    if u > n:
-        raise StegoError(f"cannot form {u} groups from {n} tokens")
-    desc = np.lexsort((ids, -m))  # mass desc, then id asc
-    return _Node(ids[desc], m[desc], int(m.sum()), u).groups()
 
 
 def _greedy(m: np.ndarray, u: int, label: array, totals: List[int], heads: List[int]):
@@ -191,6 +172,20 @@ def _greedy(m: np.ndarray, u: int, label: array, totals: List[int], heads: List[
     totals.append(remaining)
 
 
+def equal_group(masses: np.ndarray, u: int) -> Tuple[array, List[int], List[int]]:
+    """Equal grouping of one node's masses, given in mass-desc order, run to the end.
+
+    Returns the label table (member i is in group ``label[i]``), each
+    group's total mass and each group's head, its first member.
+    """
+    label = array("i", [u - 1]) * len(masses)
+    totals: List[int] = []
+    heads: List[int] = []
+    for _ in _greedy(masses, u, label, totals, heads):
+        pass
+    return label, totals, heads
+
+
 class _Node:
     """A group of a distribution, and the grouping tree below it.
 
@@ -202,15 +197,15 @@ class _Node:
     A node's grouping is resumable: a suspended :func:`_greedy` forms one
     group at a time, only as far as a request needs.  ``child(g)`` forms
     groups up to ``g`` and builds that group's node alone; ``locate(i)``
-    forms groups until member ``i`` is placed; ``groups()`` is every
-    ``child(g)``.  Children are cached, so repeated embedding and
-    extraction against one distribution share one tree.  The greedy writes
-    each member's group into the int32 table ``_label`` as it places the
-    member, and ``child`` and ``locate`` read it.  Once the greedy ends
+    forms groups until member ``i`` is placed.  Children are cached, so
+    repeated embedding and extraction against one distribution share one
+    tree.  The greedy writes each member's group into the int32 table
+    ``_label`` as it places the member, and ``child`` and ``locate`` read
+    it.  Once the greedy ends
     its typed buffers and union-find pointers are freed, and the labels
     and group totals stay.  A child learns its ``u`` from its first mass,
-    so the node keeps no group heads; ``implicit_q`` runs the greedy
-    itself and builds no node.
+    so the node keeps no group heads; ``implicit_q`` groups through
+    :func:`equal_group` and builds no node.
     ``locate`` memoizes each member's index inside its group in a second
     int32 table, so a repeated lookup is two array reads.
     """
@@ -242,9 +237,6 @@ class _Node:
             for _ in self._greedy:
                 if len(totals) > g:
                     break
-
-    def groups(self) -> List["_Node"]:
-        return [self.child(g) for g in range(self.u)]
 
     def child(self, g: int) -> "_Node":
         node = self._children.get(g)
@@ -302,23 +294,23 @@ def implicit_q(dist: ConditionalDistribution) -> np.ndarray:
     q = np.zeros(len(dist), dtype=np.float64)
     # One tree level at a time, without nodes: the level's internal nodes'
     # members concatenated, and each node's size, u and scale (its reach
-    # over u).  The greedy groups each node; one pass then settles the
+    # over u).  equal_group groups each node; one pass then settles the
     # whole level.
     positions = np.arange(len(dist), dtype=np.int64)
     sizes, us, scales = np.array([len(dist)]), np.array([u]), np.array([1.0 / u])
     while sizes.size:
+        starts = sizes.cumsum() - sizes
         labels, totals, heads = [], [], []
-        start = 0
-        for size, u in zip(sizes.tolist(), us.tolist()):
-            labels.append(array("i", [u - 1]) * size)
-            for _ in _greedy(masses[start:start + size], u, labels[-1], totals, heads):
-                pass
-            start += size
+        for start, size, u in zip(starts.tolist(), sizes.tolist(), us.tolist()):
+            node_label, node_totals, node_heads = equal_group(masses[start:start + size], u)
+            labels.append(node_label)
+            totals += node_totals
+            heads += node_heads
         node_of_group = np.repeat(np.arange(sizes.size), us)
         # Groups are numbered across the level: node k's follow those of nodes 0..k-1.
         label = np.frombuffer(b"".join(labels), np.intc) + np.repeat(us.cumsum() - us, sizes)
         tot = np.asarray(totals, dtype=np.int64)
-        head_mass = masses[np.asarray(heads, dtype=np.int64) + (sizes.cumsum() - sizes)[node_of_group]]
+        head_mass = masses[np.asarray(heads, dtype=np.int64) + starts[node_of_group]]
         # Each group's group_count: tot // head_mass is at most the group's size, so float64 holds it exactly.
         group_us = np.left_shift(1, np.frexp(tot // head_mass)[1] - 1, dtype=np.int64)
         group_scales = scales[node_of_group]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from adgstego import CachedProvider, build_vocab, preprocess, split, train_ngram
+from adgstego.adg import _Node
 from adgstego.bundled import toy_corpus_path
 from adgstego.corpus import BOS_ID, EOS_ID, PreprocessConfig
 from adgstego.lm import ConditionalDistribution, quantize
@@ -62,6 +63,22 @@ def random_distribution(rng: random.Random, size: int) -> ConditionalDistributio
     total = sum(weights)
     probs = np.asarray([w / total for w in weights])
     return ConditionalDistribution(np.arange(size, dtype=np.int64), quantize(probs))
+
+
+def sorted_groups(token_ids, masses, u: int):
+    """The ``u`` equal groups of a distribution given in any order, as grouping nodes.
+
+    The members are sorted into grouping order (mass desc, id asc) and a
+    fresh ``_Node`` forms every group, so each group's members come out in
+    that order.  ``u == 1`` returns the input as one group, unsorted.
+    """
+    ids = np.asarray(token_ids, dtype=np.int64)
+    m = np.asarray(masses, dtype=np.int64)
+    if u == 1:
+        return [_Node(ids.copy(), m.copy(), int(m.sum()), 1)]
+    desc = np.lexsort((ids, -m))
+    node = _Node(ids[desc], m[desc], int(m.sum()), u)
+    return [node.child(g) for g in range(u)]
 
 
 def bos_successors(model, count: int):

@@ -18,14 +18,13 @@ import numpy as np
 import pytest
 
 from adgstego import frame, group_count
-from adgstego.adg import equal_group
 from adgstego.baselines import make_codec
 from adgstego.bitio import deframe
 from adgstego.cli import main
 from adgstego.lm import DENOMINATOR, ConditionalDistribution, quantize
 from adgstego.runner import GenerationConfig, embed_text, extract_text
 
-from conftest import CLI_ENV, random_distribution
+from conftest import CLI_ENV, random_distribution, sorted_groups
 
 
 def _verdict(capsys, label, ok, detail):
@@ -88,7 +87,7 @@ def test_round_trip_identity_for_all_codecs(provider, vocab, capsys):
 def _single_level_forms(dist):
     """(token-form KL(p||q), group form, group masses) for one grouping level."""
     u = group_count(int(dist.masses[0]), dist.denominator)
-    grouping = equal_group(dist.token_ids, dist.masses, u)
+    grouping = sorted_groups(dist.token_ids, dist.masses, u)
     total = float(dist.denominator)
     etas = [g.total_mass / total for g in grouping]
     group_form = math.fsum(e * math.log2(u * e) for e in etas)

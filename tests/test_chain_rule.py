@@ -14,12 +14,11 @@ float operation with ``implicit_q`` or ``_step_stats``.
 """
 
 import math
-from array import array
 
 import numpy as np
 import pytest
 
-from adgstego.adg import ADGCodec, _greedy, group_count
+from adgstego.adg import ADGCodec, equal_group, group_count
 from adgstego.runner import _step_stats
 
 from conftest import bos_successors, zipf4096_eos_first
@@ -36,10 +35,7 @@ def chain_rule_kl(dist):
         u = group_count(int(masses[0]), total)
         if u < 2:
             continue  # a leaf adds nothing; only the root is pushed without this check
-        label = array("i", [u - 1]) * len(masses)
-        totals, heads = [], []
-        for _ in _greedy(masses, u, label, totals, heads):
-            pass
+        label, totals, heads = equal_group(masses, u)
         labels = np.frombuffer(label, np.intc)
         for g, (t, head) in enumerate(zip(totals, heads)):
             assert label.index(g) == head  # a group's head is its first member

@@ -1,4 +1,4 @@
-"""The run-settling ``equal_group`` and ``implicit_q`` against the frozen oracles, and extraction by position."""
+"""The grouping node, ``equal_group`` and ``implicit_q`` against the frozen oracles, and extraction by position."""
 
 import random
 
@@ -7,13 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adgstego import ADGCodec, BitMessage, equal_group, group_count, implicit_q
-from adgstego.adg import _Node, _tree
+from adgstego import ADGCodec, BitMessage, group_count, implicit_q
+from adgstego.adg import _Node, _tree, equal_group
 from adgstego.corpus import BOS_ID
 from adgstego.errors import StegoError
 from adgstego.lm import ConditionalDistribution, quantize
 
-from conftest import bos_successors, zipf4096_eos_first
+from conftest import bos_successors, sorted_groups, zipf4096_eos_first
 from oracle_grouping import equal_group as oracle_equal_group
 from oracle_grouping import implicit_q as oracle_implicit_q
 
@@ -21,9 +21,9 @@ ZIPF_VOCAB = 50_257
 
 
 def _groupings(token_ids, masses, u):
-    """``(groups, None)`` from both implementations, or ``(None, error)`` when they raise."""
+    """``(groups, None)`` from the grouping node and the oracle, or ``(None, error)`` when they raise."""
     out = []
-    for fn in (equal_group, oracle_equal_group):
+    for fn in (sorted_groups, oracle_equal_group):
         try:
             out.append((fn(token_ids, masses, u), None))
         except StegoError as exc:
@@ -42,6 +42,18 @@ def assert_identical(token_ids, masses, u):
         assert g.token_ids.tobytes() == w.token_ids.tobytes()
         assert g.masses.tobytes() == w.masses.tobytes()
         assert type(g.total_mass) is type(w.total_mass) and g.total_mass == w.total_mass
+    # equal_group on the same input in grouping order: labels, totals and heads.
+    ids, m = np.asarray(token_ids, dtype=np.int64), np.asarray(masses, dtype=np.int64)
+    desc = np.lexsort((ids, -m))
+    label, totals, heads = equal_group(m[desc], u)
+    labels = np.frombuffer(label, np.intc)
+    by_group = np.argsort(labels, kind="stable")  # each group's members in grouping order
+    starts = np.searchsorted(labels[by_group], np.arange(len(want)))
+    assert heads == by_group[starts].tolist()  # a group's head is its first member
+    for members, total, w in zip(np.split(ids[desc][by_group], starts[1:]), totals, want, strict=True):
+        in_order = np.lexsort((w.token_ids, -w.masses))  # the oracle's one group at u = 1 keeps the input order
+        assert members.tobytes() == w.token_ids[in_order].tobytes()
+        assert type(total) is int and total == w.total_mass
 
 
 def assert_identical_for_every_u(token_ids, masses):
@@ -109,7 +121,7 @@ def zipf50k():
 def test_zipf50k_first_two_levels_against_oracle(zipf50k):
     u = group_count(int(zipf50k.masses[0]), zipf50k.denominator)
     assert_identical(zipf50k.token_ids, zipf50k.masses, u)
-    for g in equal_group(zipf50k.token_ids, zipf50k.masses, u):
+    for g in sorted_groups(zipf50k.token_ids, zipf50k.masses, u):
         assert_identical(g.token_ids, g.masses, group_count(int(g.masses[0]), g.total_mass))
 
 
@@ -224,7 +236,7 @@ def test_tie_heavy_large_distributions_against_oracle(seed, n, alpha, k):
 
 
 def assert_locate_matches_groups(node):
-    groups = node.groups()
+    groups = [node.child(g) for g in range(node.u)]
     members = node.token_ids.tolist()
     for index, position in enumerate(members):
         g, member = node.locate(index)
@@ -238,7 +250,7 @@ def test_locate_tables_agree_with_groups(model):
     ids = np.random.default_rng(11).choice(ZIPF_VOCAB, size=4096, replace=False).astype(np.int64)
     root = _tree(ConditionalDistribution(ids, quantize(probs)))
     assert_locate_matches_groups(root)
-    assert_locate_matches_groups(max(root.groups(), key=lambda g: len(g.token_ids)))
+    assert_locate_matches_groups(max((root.child(g) for g in range(root.u)), key=lambda g: len(g.token_ids)))
     assert_locate_matches_groups(_tree(model.next_distribution([BOS_ID])))
 
 
@@ -265,7 +277,7 @@ def assert_requests_match_oracle(ids, masses, log_u, requests):
         want = oracle_equal_group(ids, masses, u)
     except StegoError as exc:
         with pytest.raises(StegoError, match=str(exc)):
-            node.groups()
+            [node.child(g) for g in range(u)]
         return
     for kind, k in requests:
         if kind == "child":
@@ -274,7 +286,7 @@ def assert_requests_match_oracle(ids, masses, log_u, requests):
             g, member = node.locate(k % len(ids))
             assert want[g].token_ids[member] == ids[k % len(ids)]
         else:
-            for got, w in zip(node.groups(), want, strict=True):
+            for got, w in zip([node.child(g) for g in range(u)], want, strict=True):
                 assert_same_group(got, w)
     for g in range(u):  # the answers so far leave the rest of the grouping intact
         assert_same_group(node.child(g), want[g])
