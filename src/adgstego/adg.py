@@ -255,12 +255,12 @@ class _Node:
         if k < 0:
             # Member i's group is formed once the groups up to its label are.
             # A member still labelled u - 1 is unplaced or in the last group,
-            # so the label is read again after each group is formed.
-            totals = self._totals
-            if len(totals) <= label[i]:
-                for _ in self._greedy:
-                    if len(totals) > label[i]:
-                        break
+            # so the label is read again after each group is formed.  Counting
+            # g up ends the loop by group u - 1 even if the greedy has stopped.
+            g = len(self._totals)
+            while g <= label[i]:
+                self._form(g)
+                g += 1
             k = index_in[i] = label[:i].count(label[i])
         return label[i], k
 

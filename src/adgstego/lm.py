@@ -260,8 +260,8 @@ class NGramLM:
             if vocab_size != len(vocab):
                 raise ModelMismatchError(f"model file {path} is for {vocab_size} tokens, not {len(vocab)}")
             unigram_counts = np.asarray(doc["unigram_counts"], dtype=np.float64)
-            if unigram_counts.shape != (vocab_size,):
-                raise ModelMismatchError(f"model file {path} does not hold one unigram count per token")
+            if unigram_counts.shape != (vocab_size,) or not _whole(unigram_counts):
+                raise ModelMismatchError(f"model file {path} needs a unigram count per token, each whole and >= 0")
             order, k = int(doc["order"]), float(doc["k"])
             if order < 2 or not 0 < k < math.inf:
                 raise ModelMismatchError(f"model file {path} needs order >= 2 and 0 < k < inf, not {order} and {k}")
@@ -279,6 +279,9 @@ class NGramLM:
                     if arr_ids.shape != arr_counts.shape:
                         raise ModelMismatchError(
                             f"model file {path} context {key!r} holds {arr_ids.size} ids but {arr_counts.size} counts")
+                    if not _whole(arr_counts):
+                        raise ModelMismatchError(
+                            f"model file {path} context {key!r} holds a count that is not a whole number >= 0")
                     table[ctx] = (arr_ids, arr_counts, int(arr_counts.sum()))
                 tables[int(length)] = table
             return cls(
@@ -291,6 +294,11 @@ class NGramLM:
             )
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ModelMismatchError(f"model file {path} is corrupt: {exc!r}") from exc
+
+
+def _whole(counts: np.ndarray) -> bool:
+    """Whether every count is a finite whole number >= 0."""
+    return bool(np.all(np.isfinite(counts) & (counts >= 0) & (counts == np.floor(counts))))
 
 
 def train_ngram(

@@ -78,8 +78,7 @@ def mask_eos_min(dist: ConditionalDistribution) -> ConditionalDistribution:
     Keeps the total mass exact so grouping stays well defined.  A no-op when
     EOS is absent or already at minimum mass.
     """
-    hits = np.flatnonzero(dist.token_ids == EOS_ID)
-    pos = int(hits[-1]) if hits.size else None
+    pos = dist.position_of(EOS_ID)
     if pos is None or int(dist.masses[pos]) <= 1:
         return dist
     if len(dist) == 1:

@@ -247,6 +247,25 @@ def test_model_load_rejects_order_below_two_and_k_outside_the_positive_reals(tmp
         NGramLM.load(str(path), vocab)
 
 
+def test_model_load_rejects_counts_that_are_negative_or_not_whole(tmp_path):
+    # Each edit once loaded: -1e9 embedded without error, and the others
+    # failed only at the first embed step, the fraction because the table
+    # total was truncated to an int.
+    vocab, model = _tiny_model()
+    path = tmp_path / "model.json"
+    model.save(str(path))
+    for where, value in [("unigram", -1e9), ("context", -50_000), ("context", 0.5), ("unigram", math.inf)]:
+        doc = json.loads(path.read_text())
+        if where == "unigram":
+            doc["unigram_counts"][0] = value
+        else:
+            doc["contexts"]["1"][str(BOS_ID)][1][0] = value
+        edited = tmp_path / f"{where}-{value}.json"
+        edited.write_text(json.dumps(doc))
+        with pytest.raises(ModelMismatchError, match=f"{edited.name}.*{where}.*whole"):
+            NGramLM.load(str(edited), vocab)
+
+
 FAKE_PROVIDER = textwrap.dedent(
     """
     import json, sys
