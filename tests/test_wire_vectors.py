@@ -11,6 +11,10 @@ The file is a specification a second implementation can test against:
   (``totals``) and each group's first member (``heads``).  Members are
   the node's positions in mass-desc, id-asc order, counted from 0.
 - ``frame``: the frame bits of a payload.
+- ``padding``: a short framed message read past its end in a fixed
+  sequence of widths, with the pad RNG's seed: each read's value (bits
+  big-endian), the cursor after it, and the pad RNG's next 32-bit draw
+  after the last read.  Each bit past the end is one ``getrandbits(1)``.
 - ``codecs``: the token each codec emits over a fixed bit string, and how
   many message bits it has read after each step.
 
@@ -28,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adgstego import BitMessage, frame, make_codec, quantize
+from adgstego import BitMessage, frame, make_codec, next_index, quantize
 from adgstego.adg import _Node
 from adgstego.lm import ConditionalDistribution
 
@@ -98,6 +102,9 @@ CODEC_BITS = "".join(format(b, "08b") for b in hashlib.sha256(b"wire vectors").d
 CODEC_STEPS = [0, 1, 0, 0]  # indices into the distributions, one per step
 SAMPLE_SEED, PAD_SEED = 11, 12
 
+PADDING_PAYLOAD = b"\xa5"  # 40 frame bits: the third read crosses the end, the rest are all padding
+PADDING_WIDTHS = [1, 5, 52, 1, 5, 52]
+
 
 def quantize_vectors():
     listed = [{"name": name, "probs": [float(p).hex() for p in probs], "masses": quantize(probs).tolist()}
@@ -147,6 +154,26 @@ def codec_vectors(method):
     return {"method": method, "params": CODEC_PARAMS[method], "tokens": tokens, "cursors": cursors}
 
 
+def _read(msg, r, pad_rng):
+    """The next ``r`` bits big-endian, through ``next_index`` at most 32 at a time."""
+    value = 0
+    while r:
+        width = min(r, 32)
+        value = (value << width) | next_index(msg, width, pad_rng)
+        r -= width
+    return value
+
+
+def padding_vectors():
+    msg, pad_rng = frame(PADDING_PAYLOAD), random.Random(PAD_SEED)
+    values, cursors = [], []
+    for r in PADDING_WIDTHS:
+        values.append(_read(msg, r, pad_rng))
+        cursors.append(msg.cursor)
+    return {"payload_hex": PADDING_PAYLOAD.hex(), "pad_seed": PAD_SEED, "widths": PADDING_WIDTHS,
+            "values": values, "cursors": cursors, "next_pad_draw": pad_rng.getrandbits(32)}
+
+
 def build_vectors():
     listed, recipes = quantize_vectors()
     return {
@@ -154,6 +181,7 @@ def build_vectors():
         "grouping": [{"name": name, "masses": list(masses), "nodes": grouping_vectors(masses)}
                      for name, masses in GROUPING_MASSES.items()],
         "frame": {"payload_hex": "a5", "bits": "".join(map(str, frame(b"\xa5").bits))},
+        "padding": padding_vectors(),
         "codecs": {
             "vocab_size": CODEC_VOCAB,
             "bits": CODEC_BITS,
@@ -203,6 +231,12 @@ def test_grouping_trees(vectors):
 def test_frame_bits(vectors):
     case = vectors["frame"]
     assert "".join(map(str, frame(bytes.fromhex(case["payload_hex"])).bits)) == case["bits"]
+
+
+def test_padding_past_the_end(vectors):
+    case = vectors["padding"]
+    assert (PADDING_PAYLOAD.hex(), PAD_SEED, PADDING_WIDTHS) == (case["payload_hex"], case["pad_seed"], case["widths"])
+    assert padding_vectors() == case
 
 
 def test_codec_tokens(vectors):
