@@ -289,9 +289,7 @@ class ArithmeticCodec(Codec):
 
     def embed_step(self, dist, msg, sample_rng, pad_rng):
         if self._offset is None:
-            self._offset = 0
-            for _ in range(self.precision):
-                self._offset = (self._offset << 1) | msg.read_bit(pad_rng)
+            self._offset = msg.read(self.precision, pad_rng)
         cum, total, _positions = self._truncated(dist)
         low = self._low
         width = self._high - low + 1
@@ -302,8 +300,8 @@ class ArithmeticCodec(Codec):
         bits = math.log2(width / (self._high - self._low + 1))
         settled, doublings = self._rescale()
         self._resolved += len(settled)
-        for _ in range(doublings):
-            self._offset = (self._offset << 1) | msg.read_bit(pad_rng)
+        if doublings:
+            self._offset = (self._offset << doublings) | msg.read(doublings, pad_rng)
         return int(dist.token_ids[j]), bits, None
 
     def extract_step(self, dist, token_id) -> List[int]:

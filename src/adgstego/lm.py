@@ -260,7 +260,8 @@ class NGramLM:
             if vocab_size != len(vocab):
                 raise ModelMismatchError(f"model file {path} is for {vocab_size} tokens, not {len(vocab)}")
             unigram_counts = np.asarray(doc["unigram_counts"], dtype=np.float64)
-            if unigram_counts.shape != (vocab_size,) or not _whole(unigram_counts):
+            if (not _numbers(doc["unigram_counts"], (int, float)) or unigram_counts.shape != (vocab_size,)
+                    or not _whole(unigram_counts)):
                 raise ModelMismatchError(f"model file {path} needs a unigram count per token, each whole and >= 0")
             order, k = int(doc["order"]), float(doc["k"])
             if order < 2 or not 0 < k < math.inf:
@@ -270,6 +271,9 @@ class NGramLM:
                 table = {}
                 for key, (ids, counts) in serial.items():
                     ctx = tuple(int(x) for x in key.split(",")) if key else ()
+                    if not _numbers(ids, (int,)):
+                        raise ModelMismatchError(
+                            f"model file {path} context {key!r} holds a token id that is not an integer")
                     arr_ids = np.asarray(ids, dtype=np.int64)
                     arr_counts = np.asarray(counts, dtype=np.float64)
                     named = np.concatenate((np.asarray(ctx, dtype=np.int64), arr_ids))
@@ -279,7 +283,7 @@ class NGramLM:
                     if arr_ids.shape != arr_counts.shape:
                         raise ModelMismatchError(
                             f"model file {path} context {key!r} holds {arr_ids.size} ids but {arr_counts.size} counts")
-                    if not _whole(arr_counts):
+                    if not _numbers(counts, (int, float)) or not _whole(arr_counts):
                         raise ModelMismatchError(
                             f"model file {path} context {key!r} holds a count that is not a whole number >= 0")
                     table[ctx] = (arr_ids, arr_counts, int(arr_counts.sum()))
@@ -294,6 +298,11 @@ class NGramLM:
             )
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ModelMismatchError(f"model file {path} is corrupt: {exc!r}") from exc
+
+
+def _numbers(values, kinds: Tuple[type, ...]) -> bool:
+    """Whether a parsed JSON list holds only values of ``kinds``; ``true`` and ``false`` are never numbers."""
+    return set(map(type, values)) <= set(kinds)
 
 
 def _whole(counts: np.ndarray) -> bool:

@@ -1,6 +1,7 @@
 """Framing, padding and bit-chunk conversions."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -84,11 +85,40 @@ def test_read_bit_pads_uniformly_and_deterministically():
     msg_a = BitMessage([1, 0])
     msg_b = BitMessage([1, 0])
     pad_a, pad_b = random.Random(7), random.Random(7)
-    seq_a = [msg_a.read_bit(pad_a) for _ in range(20)]
-    seq_b = [msg_b.read_bit(pad_b) for _ in range(20)]
+    seq_a = [msg_a.read(1, pad_a) for _ in range(20)]
+    seq_b = [msg_b.read(1, pad_b) for _ in range(20)]
     assert seq_a == seq_b
     assert seq_a[:2] == [1, 0]
     assert msg_a.exhausted
+
+
+@given(st.lists(st.integers(0, 1), max_size=120), st.lists(st.integers(1, 52), max_size=8), st.integers(0, 2**32))
+def test_read_equals_one_bit_reads(bits, widths, seed):
+    # Widths 1..52 cover every codec's reads; the reads run on past the end.
+    wide, narrow = BitMessage(bits), BitMessage(bits)
+    pad_wide, pad_narrow = random.Random(seed), random.Random(seed)
+    asked = 0
+    for r in widths:
+        value = 0
+        for _ in range(r):
+            value = (value << 1) | narrow.read(1, pad_narrow)
+        assert wide.read(r, pad_wide) == value
+        asked += r
+        assert wide.cursor == narrow.cursor == min(len(bits), asked)
+    assert pad_wide.getstate() == pad_narrow.getstate()
+
+
+def test_one_mib_frame_reads_in_seconds():
+    payload = random.Random(5).randbytes(1 << 20)
+    msg = frame(payload)
+    assert msg.bits[HEADER_BITS:] == bytes_to_bits(payload)
+    assert bits_to_bytes(deframe(msg.bits)) == payload
+    pad_rng = random.Random(0)
+    started = time.perf_counter()
+    while not msg.exhausted:
+        next_index(msg, 5, pad_rng)
+    assert time.perf_counter() - started < 10.0
+    assert msg.cursor == len(msg) == HEADER_BITS + 8 * len(payload)
 
 
 @given(st.integers(1, 16), st.data())

@@ -266,6 +266,23 @@ def test_model_load_rejects_counts_that_are_negative_or_not_whole(tmp_path):
             NGramLM.load(str(edited), vocab)
 
 
+def test_model_load_rejects_booleans_and_fractional_ids(tmp_path):
+    # numpy reads a JSON true as 1 and truncates an id of 3.7 to 3, so each edit once loaded without error.
+    vocab, model = _tiny_model()
+    path = tmp_path / "model.json"
+    model.save(str(path))
+    for where, field, value in [("unigram", 1, True), ("context", 1, True), ("context", 0, 3.7)]:
+        doc = json.loads(path.read_text())
+        if where == "unigram":
+            doc["unigram_counts"][0] = value
+        else:
+            doc["contexts"]["1"][str(BOS_ID)][field][0] = value
+        edited = tmp_path / f"{where}-{field}-{value}.json"
+        edited.write_text(json.dumps(doc))
+        with pytest.raises(ModelMismatchError, match=edited.name):
+            NGramLM.load(str(edited), vocab)
+
+
 FAKE_PROVIDER = textwrap.dedent(
     """
     import json, sys
