@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adgstego import BitMessage, CachedProvider, frame
 from adgstego.baselines import (
@@ -61,6 +63,35 @@ def test_bins_embeds_bin_argmax():
         in_bin = [t for t in range(4) if codec.token_to_bin[t] == bit]
         assert token == min(in_bin)  # masses are descending in token id here
         assert codec.extract_step(dist, token) == [bit]
+
+
+def test_bins_empty_bin_cannot_be_embedded_into_and_is_left_out_of_q():
+    codec = BinsCodec(2, 0, 40)
+    tokens = [t for t in range(40) if codec.token_to_bin[t] != 2]
+    dist = ConditionalDistribution(tokens, list(range(len(tokens), 0, -1)))
+    with pytest.raises(StegoError, match="bin 2"):
+        codec.embed_step(dist, BitMessage([1, 0]), random.Random(0), random.Random(1))
+    positions, probs = codec.step_q(dist)
+    bins = codec.token_to_bin[dist.token_ids[positions]]
+    assert sorted(bins.tolist()) == [0, 1, 3]
+    assert positions.tolist() == [int(np.flatnonzero(codec.token_to_bin[dist.token_ids] == b)[0]) for b in bins]
+    assert probs.tolist() == [0.25] * 3
+
+
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=100, deadline=None)
+def test_bins_table_is_each_bins_first_position(b, seed, data):
+    vocab_size = (1 << b) + data.draw(st.integers(0, 60))
+    codec = BinsCodec(b, seed, vocab_size)
+    tokens = data.draw(st.lists(st.integers(0, vocab_size - 1), min_size=1, max_size=vocab_size, unique=True))
+    # Masses from a small range, so most runs of equal masses are ordered by id.
+    masses = data.draw(st.lists(st.integers(1, 3), min_size=len(tokens), max_size=len(tokens)))
+    dist = ConditionalDistribution(tokens, masses)
+    expected = [-1] * codec.nbins
+    for pos, token in enumerate(dist.token_ids.tolist()):
+        if expected[codec.token_to_bin[token]] < 0:
+            expected[codec.token_to_bin[token]] = pos
+    assert codec._bin_argmax(dist).tolist() == expected
 
 
 def test_bins_vocab_too_small():

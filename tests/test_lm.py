@@ -22,6 +22,7 @@ from adgstego.lm import (
     ExternalProvider,
     NGramLM,
     quantize,
+    sample_token,
     train_ngram,
 )
 
@@ -140,6 +141,35 @@ def _tiny_model(order=2, k=1.0):
     vocab = build_vocab(sents, min_count=1)
     ids = [vocab.encode_sentence(s) for s in sents]
     return vocab, train_ngram(ids, order=order, k=k, vocab=vocab)
+
+
+class _FixedDraw:
+    """An rng stand-in whose ``randrange`` returns ``x`` and records each bound it was given."""
+
+    def __init__(self, x):
+        self.x, self.bounds = x, []
+
+    def randrange(self, stop):
+        self.bounds.append(stop)
+        return self.x
+
+
+@given(st.lists(st.integers(1, 4) | st.integers(1, 10**9), min_size=1, max_size=50), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_sample_token_is_one_inverse_cdf_draw(masses, seed):
+    token_ids = np.asarray(random.Random(seed).sample(range(10**6), len(masses)), dtype=np.int64)
+    cum = np.cumsum(np.asarray(masses, dtype=np.int64))
+    total = int(cum[-1])
+    # Every interval's two ends, and the first and last draw.
+    for x in {0, total - 1} | {int(c) - 1 for c in cum} | {int(c) for c in cum[:-1]}:
+        rng = _FixedDraw(x)
+        token = sample_token(rng, token_ids, cum, total)
+        assert token == int(token_ids[np.searchsorted(cum, x, side="right")]) and type(token) is int
+        assert rng.bounds == [total]
+    rng, twin = random.Random(seed), random.Random(seed)
+    sample_token(rng, token_ids, cum, total)
+    twin.randrange(total)
+    assert rng.getstate() == twin.getstate()
 
 
 def test_ngram_counts_shape_the_conditional():

@@ -15,8 +15,10 @@ The file is a specification a second implementation can test against:
   sequence of widths, with the pad RNG's seed: each read's value (bits
   big-endian), the cursor after it, and the pad RNG's next 32-bit draw
   after the last read.  Each bit past the end is one ``getrandbits(1)``.
-- ``codecs``: the token each codec emits over a fixed bit string, and how
-  many message bits it has read after each step.
+- ``codecs``: the token each codec emits over a fixed bit string, how
+  many message bits it has read after each step, and the bits
+  (``extracted``) a fresh receiver reads back from those tokens: one
+  ``extract_step`` per token, then ``finish_extract``.
 
 The vectors were generated once and are never regenerated to make a
 change pass; a deliberate wire change regenerates them and says so.
@@ -151,7 +153,15 @@ def codec_vectors(method):
         token, _bits, _detail = codec.embed_step(dists[step], msg, sample_rng, pad_rng)
         tokens.append(int(token))
         cursors.append(msg.cursor)
-    return {"method": method, "params": CODEC_PARAMS[method], "tokens": tokens, "cursors": cursors}
+    # A fresh receiver reads the tokens back over the same distributions.
+    receiver = make_codec(method, CODEC_VOCAB, **CODEC_PARAMS[method])
+    receiver.begin_extract()
+    extracted = []
+    for step, token in zip(CODEC_STEPS, tokens):
+        extracted += receiver.extract_step(dists[step], token)
+    extracted += receiver.finish_extract()
+    return {"method": method, "params": CODEC_PARAMS[method], "tokens": tokens, "cursors": cursors,
+            "extracted": "".join(map(str, extracted))}
 
 
 def _read(msg, r, pad_rng):
