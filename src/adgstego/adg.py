@@ -358,13 +358,16 @@ class ADGCodec(runner.Codec):
         if member is None:
             raise DesyncError(f"token {token_id} absent from the shared distribution")
         node = _tree(dist)
-        bits: List[int] = []
+        # Each level's index is appended to one integer, converted to bits once.
+        value = width = 0
         while True:
             u = node.u
             if u < 2:
-                return bits
+                return index_to_bits(value, width)
             index, member = node.locate(member)
-            bits.extend(index_to_bits(index, u.bit_length() - 1))
+            r = u.bit_length() - 1
+            value = (value << r) | index
+            width += r
             node = node.child(index)
 
     def step_q(self, dist):
