@@ -57,11 +57,12 @@ class BinsCodec(Codec):
         key = ("bins", len(self.token_to_bin), self.partition_seed, self.b)
         table = dist.cache.get(key)
         if table is None:
-            bins = self.token_to_bin[dist.token_ids]
-            table = np.full(self.nbins, -1, dtype=np.int64)
-            # dist is mass-desc sorted, so the first occurrence wins.
-            values, first = np.unique(bins, return_index=True)
-            table[values] = first
+            n = len(dist)
+            # dist is mass-desc sorted, so each bin's lowest position wins:
+            # one scatter of every position, not a sort of the support.
+            table = np.full(self.nbins, n, dtype=np.int64)
+            np.minimum.at(table, self.token_to_bin[dist.token_ids], np.arange(n))
+            table[table == n] = -1
             dist.cache[key] = table
         return table
 
