@@ -396,9 +396,19 @@ def test_external_provider_command_read_deadline(partial):
         '{"ids": [99999999999999999999999, 2], "probs": [0.5, 0.5]}',
         '{"ids": [true, 2], "probs": [0.5, 0.5]}',
         '{"ids": [1, 2], "probs": [true, 0.0]}',
+        '{"ids": [1, 2], "probs": [NaN, 0.5]}',
+        '{"ids": [1, 2], "probs": [Infinity, 0.5]}',
+        '{"ids": [1, 2], "probs": [-0.5, 1.5]}',
+        '{"ids": [1, 2, 3], "probs": [0.5, 0.5]}',
+        '{"ids": [1], "probs": [[1.0]]}',
+        '{"ids": [[1, 2]], "probs": [[0.5, 0.5]]}',
+        '{"ids": [], "probs": []}',
+        '{"ids": [1, 1], "probs": [0.5, 0.5]}',
+        '{"ids": [1, 2], "probs": [0.5, 0.6]}',
     ],
     ids=["float-id", "string-ids", "nested-ids", "ragged-ids", "string-prob", "scalar-ids", "negative-id",
-         "null-prob", "huge-id", "bool-id", "bool-prob"],
+         "null-prob", "huge-id", "bool-id", "bool-prob", "nan-prob", "infinite-prob", "negative-prob",
+         "more-ids-than-probs", "nested-probs", "2d-ids-and-probs", "empty", "duplicate-ids", "sum-1.1"],
 )
 def test_external_provider_rejects_bad_reply_values(reply):
     provider = ExternalProvider(io.StringIO(reply + "\n"), io.StringIO())
