@@ -154,8 +154,8 @@ class ConditionalDistribution:
     def from_probs(cls, token_ids: Sequence[int], probs: Sequence[float]) -> "ConditionalDistribution":
         """Quantize ``probs`` to masses summing to ``2**31``; ids must be distinct integers."""
         ids = np.asarray(token_ids)
-        if ids.size != len(probs):
-            raise QuantizationError("ids and probs length mismatch")
+        if ids.shape != np.shape(probs):
+            raise QuantizationError("ids and probs shape mismatch")
         if ids.size != np.unique(ids).size:
             raise QuantizationError("duplicate token ids in distribution")
         return cls(ids, quantize(probs))
@@ -186,6 +186,10 @@ class NGramLM:
     so none is applied.)  Every distribution covers the whole vocabulary,
     so every token is reachable.  Instances are immutable after training
     and safe to share across codec streams.
+
+    ``contexts`` is the one table of seen contexts: it maps each context
+    tuple, of any length from 1 to ``order - 1`` (its backoff level), to
+    its successor ids, their counts and the counts' total.
     """
 
     def __init__(
@@ -195,7 +199,7 @@ class NGramLM:
         vocab_size: int,
         vocab_hash: str,
         unigram_counts: np.ndarray,
-        context_tables: Dict[int, Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray, int]]],
+        contexts: Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray, int]],
     ):
         self.order = order
         self.k = k
@@ -203,7 +207,7 @@ class NGramLM:
         self.vocab_hash = vocab_hash
         self.unigram_counts = unigram_counts
         self.unigram_total = int(unigram_counts.sum())
-        self.context_tables = context_tables
+        self.contexts = contexts
 
     @property
     def context_window(self) -> int:
@@ -212,16 +216,13 @@ class NGramLM:
 
     def next_scores(self, context: Sequence[int]) -> np.ndarray:
         v = self.vocab_size
-        for length in range(self.order - 1, 0, -1):
-            if len(context) < length:
-                continue
-            entry = self.context_tables.get(length, {}).get(tuple(context[-length:]))
-            if entry is None:
-                continue
-            ids, counts, total = entry
-            s = np.full(v, self.k, dtype=np.float64)
-            s[ids] += counts
-            return s / (total + self.k * v)
+        for length in range(min(self.order - 1, len(context)), 0, -1):
+            entry = self.contexts.get(tuple(context[-length:]))
+            if entry is not None:
+                ids, counts, total = entry
+                s = np.full(v, self.k, dtype=np.float64)
+                s[ids] += counts
+                return s / (total + self.k * v)
         s = self.unigram_counts + self.k
         return s / (self.unigram_total + self.k * v)
 
@@ -232,13 +233,10 @@ class NGramLM:
         return ConditionalDistribution(np.arange(self.vocab_size, dtype=np.int64), quantize(scores))
 
     def save(self, path: str) -> None:
-        contexts = {}
-        for length, table in sorted(self.context_tables.items()):
-            serial = {}
-            for ctx in sorted(table):
-                ids, counts, _total = table[ctx]
-                serial[",".join(map(str, ctx))] = [ids.tolist(), counts.tolist()]
-            contexts[str(length)] = serial
+        # Grouped by length; sort_keys orders the groups and the contexts in each.
+        contexts: Dict[str, Dict[str, list]] = {str(length): {} for length in range(1, self.order)}
+        for ctx, (ids, counts, _total) in self.contexts.items():
+            contexts.setdefault(str(len(ctx)), {})[",".join(map(str, ctx))] = [ids.tolist(), counts.tolist()]
         doc = {
             "format_version": MODEL_FORMAT_VERSION,
             "order": self.order,
@@ -271,11 +269,13 @@ class NGramLM:
             order, k = int(doc["order"]), float(doc["k"])
             if order < 2 or not 0 < k < math.inf:
                 raise ModelMismatchError(f"model file {path} needs order >= 2 and 0 < k < inf, not {order} and {k}")
-            tables: Dict[int, Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray, int]]] = {}
+            contexts: Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray, int]] = {}
             for length, serial in doc["contexts"].items():
-                table = {}
                 for key, (ids, counts) in serial.items():
                     ctx = tuple(int(x) for x in key.split(",")) if key else ()
+                    if str(len(ctx)) != length:
+                        raise ModelMismatchError(
+                            f"model file {path} lists context {key!r} of length {len(ctx)} under {length!r}")
                     if not _numbers(ids, (int,)):
                         raise ModelMismatchError(
                             f"model file {path} context {key!r} holds a token id that is not an integer")
@@ -291,15 +291,14 @@ class NGramLM:
                     if not _numbers(counts, (int, float)) or not _whole(arr_counts):
                         raise ModelMismatchError(
                             f"model file {path} context {key!r} holds a count that is not a whole number >= 0")
-                    table[ctx] = (arr_ids, arr_counts, int(arr_counts.sum()))
-                tables[int(length)] = table
+                    contexts[ctx] = (arr_ids, arr_counts, int(arr_counts.sum()))
             return cls(
                 order=order,
                 k=k,
                 vocab_size=vocab_size,
                 vocab_hash=doc["vocab_hash"],
                 unigram_counts=unigram_counts,
-                context_tables=tables,
+                contexts=contexts,
             )
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ModelMismatchError(f"model file {path} is corrupt: {exc!r}") from exc
@@ -328,29 +327,21 @@ def train_ngram(
 
     v = len(vocab)
     unigrams = np.zeros(v, dtype=np.float64)
-    raw: Dict[int, Dict[Tuple[int, ...], Dict[int, int]]] = {
-        length: {} for length in range(1, order)
-    }
+    raw: Dict[Tuple[int, ...], Dict[int, int]] = {}
     for sent in sentences:
         for t in range(1, len(sent)):
             token = sent[t]
             unigrams[token] += 1
-            for length in range(1, order):
-                if t < length:
-                    break
-                ctx = tuple(sent[t - length : t])
-                bucket = raw[length].setdefault(ctx, {})
+            for length in range(1, min(order, t + 1)):
+                bucket = raw.setdefault(tuple(sent[t - length : t]), {})
                 bucket[token] = bucket.get(token, 0) + 1
 
-    tables: Dict[int, Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray, int]]] = {}
-    for length, table in raw.items():
-        frozen = {}
-        for ctx, bucket in table.items():
-            ids = np.asarray(sorted(bucket), dtype=np.int64)
-            counts = np.asarray([bucket[i] for i in ids], dtype=np.float64)
-            frozen[ctx] = (ids, counts, int(counts.sum()))
-        tables[length] = frozen
-    return NGramLM(order, k, v, vocab.content_hash(), unigrams, tables)
+    contexts = {}
+    for ctx, bucket in raw.items():
+        ids = np.asarray(sorted(bucket), dtype=np.int64)
+        counts = np.asarray([bucket[i] for i in ids], dtype=np.float64)
+        contexts[ctx] = (ids, counts, int(counts.sum()))
+    return NGramLM(order, k, v, vocab.content_hash(), unigrams, contexts)
 
 
 class _PipeReader:
@@ -443,13 +434,12 @@ class ExternalProvider:
             ids, probs = np.asarray(ids), np.asarray(probs)  # ragged nesting raises ValueError
         except (KeyError, TypeError, ValueError) as exc:
             raise ProviderError(f"malformed provider reply: {line!r}") from exc
-        if ids.ndim != 1 or probs.shape != ids.shape or not ids.size:
-            raise ProviderError("provider reply ids/probs mismatch")
-        # A float, string or nested id gives numpy a non-integer dtype.
+        # A float, string or too-large id gives numpy a non-integer dtype.
         if ids.dtype.kind != "i" or np.any(ids < 0):
             raise ProviderError("provider reply ids must be nonnegative integers")
-        if probs.dtype.kind not in "if" or not np.all(np.isfinite(probs)) or np.any(probs < 0):
-            raise ProviderError("provider reply probabilities must be finite nonnegative numbers")
+        if probs.dtype.kind not in "if":
+            raise ProviderError("provider reply probabilities must be numbers")
+        # from_probs checks the shapes and duplicate ids, quantize the values.
         try:
             return ConditionalDistribution.from_probs(ids, probs)
         except QuantizationError as exc:

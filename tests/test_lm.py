@@ -135,6 +135,12 @@ def test_distribution_from_probs_rejects_duplicates():
         ConditionalDistribution.from_probs([1, 1], [0.5, 0.5])
 
 
+def test_distribution_from_probs_rejects_a_scalar_probability():
+    # len(0.5) once raised a bare TypeError here.
+    with pytest.raises(QuantizationError):
+        ConditionalDistribution.from_probs([1], 0.5)
+
+
 def _tiny_model(order=2, k=1.0):
     # corpus: "a b . a b . a c"
     sents = [["a", "b"], ["a", "b"], ["a", "c"]]
@@ -311,6 +317,19 @@ def test_model_load_rejects_booleans_and_fractional_ids(tmp_path):
         edited.write_text(json.dumps(doc))
         with pytest.raises(ModelMismatchError, match=edited.name):
             NGramLM.load(str(edited), vocab)
+
+
+def test_model_load_rejects_a_context_listed_under_another_length(tmp_path):
+    # Moved from "1" to "2", the BOS context once loaded silently, and the
+    # first step backed off to the unigram distribution instead of the trained one.
+    vocab, model = _tiny_model()
+    path = tmp_path / "model.json"
+    model.save(str(path))
+    doc = json.loads(path.read_text())
+    doc["contexts"]["2"] = {str(BOS_ID): doc["contexts"]["1"].pop(str(BOS_ID))}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelMismatchError, match="model.json"):
+        NGramLM.load(str(path), vocab)
 
 
 FAKE_PROVIDER = textwrap.dedent(
