@@ -52,7 +52,7 @@ class CachedProvider:
 
     def get(self, context: Tuple[int, ...], mask_eos: bool) -> ConditionalDistribution:
         if self._window is not None and len(context) > self._window:
-            key = (context[-self._window:], mask_eos)
+            key = (context[len(context) - self._window:], mask_eos)  # [-0:] would keep all of it
         else:
             key = (context, mask_eos)
         hit = self._cache.get(key)

@@ -123,6 +123,27 @@ def test_cached_provider_bounds_the_entries_it_holds(monkeypatch):
     assert len(big) == 20 and provider.get((BOS_ID, 20), False) is big
 
 
+class ContextFreeProvider:
+    """One distribution whatever the context, declared with ``context_window = 0``; counts its calls."""
+
+    context_window = 0
+
+    def __init__(self):
+        self.calls = 0
+
+    def next_distribution(self, context):
+        self.calls += 1
+        return ConditionalDistribution([1, 2, 3], [3, 2, 1])
+
+
+def test_cached_provider_shares_one_entry_across_contexts_when_the_window_is_zero():
+    counting = ContextFreeProvider()
+    provider = CachedProvider(counting)
+    first = provider.get((2,), False)
+    assert provider.get((2, 7), False) is first
+    assert counting.calls == 1
+
+
 def assert_each_distribution_counted_once(provider):
     held = {id(dist): len(dist) for dist in provider._cache.values()}
     assert provider._entries == sum(held.values())
