@@ -4,9 +4,9 @@ Runs the README's CLI quick start (toy corpus -> preprocess -> train ->
 embed -> extract -> metrics -> bench) with ``python -m adgstego.cli`` in a
 fresh temporary directory, importing the package from the given ``src/``
 directory, and prints one digest per artifact: the bench CSV, the stego
-file, the trace, the extracted hex and the ``metrics`` JSON.  Two
-checkouts print the same lines exactly when these artifacts are
-byte-identical.  Run from anywhere:
+file, the trace, the extracted hex, the ``metrics`` JSON and the trained
+``model.json``.  Two checkouts print the same lines exactly when these
+artifacts are byte-identical.  Run from anywhere:
 
     python3 tools/artifacts.py                  # this checkout's src/
     python3 tools/artifacts.py path/to/other/src
@@ -16,7 +16,9 @@ byte-identical.  Run from anywhere:
 format printed here) and exits 1 if one differs.  The committed file
 lists the wire artifacts only, the stego file and the extracted hex: the
 bench CSV, the trace and the metrics JSON hold float statistics from
-numpy, which may differ between CPUs without any change on the wire.
+numpy, which may differ between CPUs without any change on the wire, and
+the model file is printed so that a change to training or to the model
+format shows, not gated.
 
 The whole run takes about 15 s on one core of a 2-vCPU VM.
 """
@@ -76,6 +78,7 @@ def main() -> int:
             "trace.ndjson": (work / "trace.ndjson").read_bytes(),
             "extract --hex-out": extracted,
             "metrics --acc 0.7": report,
+            "model.json": (work / "model.json").read_bytes(),
         }
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()}
     for name, digest in digests.items():
