@@ -233,7 +233,7 @@ class NGramLM:
         return ConditionalDistribution(np.arange(self.vocab_size, dtype=np.int64), quantize(scores))
 
     def save(self, path: str) -> None:
-        # Grouped by length; sort_keys orders the groups and the contexts in each.
+        # Every length up to order - 1 is listed, even with no context under it; sort_keys orders the rest.
         contexts: Dict[str, Dict[str, list]] = {str(length): {} for length in range(1, self.order)}
         for ctx, (ids, counts, _total) in self.contexts.items():
             contexts.setdefault(str(len(ctx)), {})[",".join(map(str, ctx))] = [ids.tolist(), counts.tolist()]
