@@ -332,7 +332,7 @@ def train_ngram(
         for t in range(1, len(sent)):
             token = sent[t]
             unigrams[token] += 1
-            for length in range(1, order if t >= order else t + 1):  # a min() call here cost a third of training
+            for length in range(1, order if t >= order else t + 1):  # min() per token cost 30 % of this loop
                 bucket = raw.setdefault(tuple(sent[t - length : t]), {})
                 bucket[token] = bucket.get(token, 0) + 1
 
