@@ -57,6 +57,19 @@ one numpy pass settles the whole level: every group's ``u`` from its
 head mass and total, q for the leaf groups (``u < 2``) and for the groups
 of ``u`` singletons, and the members of the groups that split further,
 which make up the next level.
+
+Equal-mass nodes are grouped once per shape.  Add-k smoothing gives every
+unseen token of a context the same mass, so most nodes of an n-gram
+model's trees hold members of one mass m.  Every comparison the greedy
+makes is homogeneous in a common mass: the gap test, the run test, the
+bisect over prefix sums against a ceiling of a multiple of m over the
+slots, and the bisect for the nearest mass all read the same on m-fold
+masses as on unit masses.  So such a node's labels and heads depend on
+its size n and its ``u`` alone, and its group totals are m times the
+unit-mass ones.  A memo keyed by ``(n, u)`` holds the greedy's own output
+on n unit masses, and both drivers answer equal-mass nodes from it; it
+holds at most ``UNIT_MEMO_LABELS`` labels, and a larger node runs the
+greedy unmemoised.
 """
 
 from __future__ import annotations
@@ -72,6 +85,11 @@ from . import runner
 from .bitio import index_to_bits, next_index
 from .errors import DesyncError, StegoError
 from .lm import ConditionalDistribution, sample_token
+
+# Labels the unit-mass memo holds across its entries, 4 bytes each, evicting
+# the oldest first.  The stats of every bundled-model context fill 5,844.
+UNIT_MEMO_LABELS = 1 << 20
+_unit_memo: Dict[Tuple[int, int], Tuple[array, List[int], List[int]]] = {}
 
 
 def group_count(p_max_mass: int, denominator: int) -> int:
@@ -172,18 +190,42 @@ def _greedy(m: np.ndarray, u: int, label: array, totals: List[int], heads: List[
     totals.append(remaining)
 
 
-def equal_group(masses: np.ndarray, u: int) -> Tuple[array, List[int], List[int]]:
-    """Equal grouping of one node's masses, given in mass-desc order, run to the end.
-
-    Returns the label table (member i is in group ``label[i]``), each
-    group's total mass and each group's head, its first member.
-    """
+def _drain(masses: np.ndarray, u: int) -> Tuple[array, List[int], List[int]]:
+    """The greedy over ``masses`` run to the end: labels, group totals and heads."""
     label = array("i", [u - 1]) * len(masses)
     totals: List[int] = []
     heads: List[int] = []
     for _ in _greedy(masses, u, label, totals, heads):
         pass
     return label, totals, heads
+
+
+def _unit_grouping(n: int, u: int) -> Tuple[array, List[int], List[int]]:
+    """The greedy's output on ``n`` unit masses, memoised by ``(n, u)``; callers must not write to it."""
+    found = _unit_memo.get((n, u))
+    if found is None:
+        found = _drain(np.ones(n, np.int64), u)
+        if n <= UNIT_MEMO_LABELS:
+            held = n + sum(len(label) for label, _, _ in _unit_memo.values())
+            while held > UNIT_MEMO_LABELS:
+                held -= len(_unit_memo.pop(next(iter(_unit_memo)))[0])
+            _unit_memo[(n, u)] = found
+    return found
+
+
+def equal_group(masses: np.ndarray, u: int) -> Tuple[array, List[int], List[int]]:
+    """Equal grouping of one node's masses, given in mass-desc order, run to the end.
+
+    Returns the label table (member i is in group ``label[i]``), each
+    group's total mass and each group's head, its first member.  An
+    equal-mass node's label table and heads are the memo's, shared and
+    read-only.
+    """
+    m = int(masses[0])
+    if m != masses[-1]:
+        return _drain(masses, u)
+    label, unit_totals, heads = _unit_grouping(len(masses), u)
+    return label, [m * t for t in unit_totals], heads
 
 
 class _Node:
@@ -208,6 +250,12 @@ class _Node:
     :func:`equal_group` and builds no node.
     ``locate`` memoizes each member's index inside its group in a second
     int32 table, so a repeated lookup is two array reads.
+
+    An equal-mass node starts no greedy: its label table is the unit-mass
+    memo's, shared with every node of its size and ``u``, and its totals
+    are the memo's scaled by its mass.  The shared table is read-only, and
+    nothing writes a label after the greedy ends (``locate`` writes only
+    ``_index_in``).
     """
 
     __slots__ = ("token_ids", "masses", "total_mass", "u", "_children", "_greedy", "_label", "_totals",
@@ -226,9 +274,14 @@ class _Node:
         self._cumsum: Optional[np.ndarray] = None
         self._member_ids: Optional[np.ndarray] = None
         if self.u > 1:
-            self._label = array("i", [u - 1]) * len(token_ids)
-            self._totals: List[int] = []
-            self._greedy = _greedy(masses, u, self._label, self._totals, [])
+            m = int(masses[0])
+            if m == masses[-1]:  # every group is formed: _form has nothing to run
+                self._label, unit_totals, _ = _unit_grouping(len(masses), u)
+                self._totals = [m * t for t in unit_totals]
+            else:
+                self._label = array("i", [u - 1]) * len(token_ids)
+                self._totals: List[int] = []
+                self._greedy = _greedy(masses, u, self._label, self._totals, [])
 
     def _form(self, g: int) -> None:
         """Run the greedy until group ``g`` is formed."""

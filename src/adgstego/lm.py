@@ -51,7 +51,10 @@ def quantize(probs: Sequence[float]) -> np.ndarray:
     taken from the largest entry, so every token keeps nonzero mass and
     the numerators sum to ``DENOMINATOR`` exactly.
     """
-    arr = np.asarray(probs, dtype=np.float64)
+    try:
+        arr = np.asarray(probs, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged nesting, or entries that are not numbers
+        raise QuantizationError(f"probabilities are not a vector of numbers: {exc}") from exc
     if arr.ndim != 1 or arr.size == 0:
         raise QuantizationError("expected a nonempty 1-d probability vector")
     if not np.all(np.isfinite(arr)):
@@ -153,12 +156,12 @@ class ConditionalDistribution:
     @classmethod
     def from_probs(cls, token_ids: Sequence[int], probs: Sequence[float]) -> "ConditionalDistribution":
         """Quantize ``probs`` to masses summing to ``2**31``; ids must be distinct integers."""
-        ids = np.asarray(token_ids)
-        if ids.shape != np.shape(probs):
+        ids, masses = np.asarray(token_ids), quantize(probs)
+        if ids.shape != masses.shape:
             raise QuantizationError("ids and probs shape mismatch")
         if ids.size != np.unique(ids).size:
             raise QuantizationError("duplicate token ids in distribution")
-        return cls(ids, quantize(probs))
+        return cls(ids, masses)
 
 
 def sample_token(rng: random.Random, token_ids: np.ndarray, cumsum: np.ndarray, total: int) -> int:

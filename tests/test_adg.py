@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adgstego import adg
 from adgstego import (
     ADGCodec,
     BitMessage,
@@ -19,12 +20,14 @@ from adgstego import (
     implicit_q,
     make_codec,
 )
+from adgstego.adg import _Node, equal_group
 from adgstego.bitio import bytes_to_bits
 from adgstego.errors import DesyncError
 from adgstego.lm import DENOMINATOR, ConditionalDistribution, quantize
 from adgstego.runner import GenerationConfig
 
 from conftest import random_distribution, sorted_groups
+from oracle_grouping import implicit_q as oracle_implicit_q
 
 
 def test_group_count_boundaries():
@@ -196,3 +199,79 @@ def test_text_round_trip_property(provider, vocab, payload, seed):
     sentences, _trace = embed_text(make_codec("adg", len(vocab)), frame(payload), provider, cfg)
     raw = extract_text(make_codec("adg", len(vocab)), sentences, provider, cfg)
     assert deframe(raw) == bytes_to_bits(payload)
+
+
+def _memo_labels():
+    return sum(len(label) for label, _, _ in adg._unit_memo.values())
+
+
+def test_equal_mass_grouping_matches_the_greedy(monkeypatch):
+    # The memo holds the greedy's output on unit masses; on n masses of m
+    # the greedy must give the same labels and heads and m-fold totals.
+    monkeypatch.setattr(adg, "_unit_memo", {})
+    for n in range(2, 401):
+        top = group_count(1, n)
+        us = [top >> s for s in range(top.bit_length() - 1)]  # group_count, then each smaller power of two >= 2
+        for m in (1, 2, 3, 7, 1000, 123457, DENOMINATOR // n):
+            masses = np.full(n, m, dtype=np.int64)
+            for u in us:
+                want = adg._drain(masses, u)
+                assert equal_group(masses, u) == want, (n, m, u)
+                node = _Node(np.arange(n), masses, n * m, u)
+                assert (node._label, node._totals) == want[:2], (n, m, u)
+
+
+def test_equal_mass_nodes_of_one_shape_leave_the_memo_entry_unchanged(monkeypatch):
+    monkeypatch.setattr(adg, "_unit_memo", {})
+    n, u = 37, 32
+    ones = np.ones(n, dtype=np.int64)
+    first = equal_group(ones * 5, u)
+    entry = adg._unit_memo[(n, u)]
+    snapshot = entry[0].tobytes(), list(entry[1]), list(entry[2])
+    second = equal_group(ones * 11, u)
+    node = _Node(np.arange(n), ones * 13, n * 13)
+    for i in range(n):
+        g, k = node.locate(i)
+        assert int(node.child(g).token_ids[k]) == i
+    assert adg._unit_memo[(n, u)] is entry
+    assert (entry[0].tobytes(), entry[1], entry[2]) == snapshot
+    assert first[1] == [5 * t for t in entry[1]] and second[1] == [11 * t for t in entry[1]]
+    assert first[0] is second[0] is node._label is entry[0]
+    assert node._totals == [13 * t for t in entry[1]]
+
+
+def test_uniform_distribution_round_trip_and_implicit_q(monkeypatch):
+    # Quantizing 300 equal probabilities leaves two masses a unit apart, so
+    # the same shape is also run with every mass equal.
+    monkeypatch.setattr(adg, "_unit_memo", {})
+    quantized = ConditionalDistribution.from_probs(list(range(300)), [1 / 300] * 300)
+    assert set(quantized.masses.tolist()) == {DENOMINATOR // 300, DENOMINATOR // 300 + 1}
+    codec = ADGCodec()
+    rng = random.Random(4)
+    for dist in (quantized, ConditionalDistribution(list(range(300)), [7] * 300)):
+        for trial in range(40):
+            payload = [rng.randint(0, 1) for _ in range(16)]
+            token, bits, _levels = codec.embed_step(dist, BitMessage(payload), random.Random(trial), random.Random(trial + 1))
+            assert bits >= 8
+            assert codec.extract_step(dist, token) == payload[:bits]
+        assert implicit_q(dist).tobytes() == oracle_implicit_q(dist).tobytes()
+    # Equal masses throughout: a 300-member root of 256 groups, whose pairs split in two.
+    assert set(adg._unit_memo) == {(300, 256), (2, 2)}
+
+
+def test_unit_memo_holds_at_most_its_label_budget(monkeypatch):
+    monkeypatch.setattr(adg, "UNIT_MEMO_LABELS", 64)
+    monkeypatch.setattr(adg, "_unit_memo", {})
+    big = np.full(100, 9, dtype=np.int64)
+    want = adg._drain(big, 64)
+    assert equal_group(big, 64) == want
+    node = _Node(np.arange(100), big, 900)
+    assert node.u == 64 and (node._label, node._totals) == want[:2]
+    assert not adg._unit_memo  # past the budget: grouped, not stored
+    for n in (30, 20, 40, 10, 64, 3, 5):
+        masses = np.full(n, 4, dtype=np.int64)
+        u = group_count(4, 4 * n)
+        assert equal_group(masses, u) == adg._drain(masses, u)
+        assert (n, u) in adg._unit_memo  # the newest entry always stays
+        assert _memo_labels() <= 64
+    assert list(adg._unit_memo) == [(3, 2), (5, 4)]

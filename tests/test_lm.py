@@ -141,6 +141,17 @@ def test_distribution_from_probs_rejects_a_scalar_probability():
         ConditionalDistribution.from_probs([1], 0.5)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: quantize([[0.5], [0.5, 0.1]]),
+    lambda: ConditionalDistribution.from_probs([1, 2], [[0.5], [0.5, 0.1]]),
+    lambda: ConditionalDistribution.from_probs([1, 2], ["a", "b"]),
+], ids=["ragged", "from-probs-ragged", "from-probs-strings"])
+def test_unreadable_probabilities_raise_quantization_error(call):
+    # numpy's conversion error was once raised bare.
+    with pytest.raises(QuantizationError):
+        call()
+
+
 def _tiny_model(order=2, k=1.0):
     # corpus: "a b . a b . a c"
     sents = [["a", "b"], ["a", "b"], ["a", "c"]]
