@@ -221,8 +221,8 @@ def equal_group(masses: np.ndarray, u: int) -> Tuple[array, List[int], List[int]
     equal-mass node's label table and heads are the memo's, shared and
     read-only.
     """
-    m = int(masses[0])
-    if m != masses[-1]:
+    m = masses.item(0)  # item() reads a Python int at half the cost of int(masses[0])
+    if m != masses.item(-1):
         return _drain(masses, u)
     label, unit_totals, heads = _unit_grouping(len(masses), u)
     return label, [m * t for t in unit_totals], heads
@@ -274,8 +274,8 @@ class _Node:
         self._cumsum: Optional[np.ndarray] = None
         self._member_ids: Optional[np.ndarray] = None
         if self.u > 1:
-            m = int(masses[0])
-            if m == masses[-1]:  # every group is formed: _form has nothing to run
+            m = masses.item(0)
+            if m == masses.item(-1):  # every group is formed: _form has nothing to run
                 self._label, unit_totals, _ = _unit_grouping(len(masses), u)
                 self._totals = [m * t for t in unit_totals]
             else:
