@@ -201,10 +201,6 @@ def test_text_round_trip_property(provider, vocab, payload, seed):
     assert deframe(raw) == bytes_to_bits(payload)
 
 
-def _memo_labels():
-    return sum(len(label) for label, _, _ in adg._unit_memo.values())
-
-
 def test_equal_mass_grouping_matches_the_greedy(monkeypatch):
     # The memo holds the greedy's output on unit masses; on n masses of m
     # the greedy must give the same labels and heads and m-fold totals.
@@ -273,5 +269,5 @@ def test_unit_memo_holds_at_most_its_label_budget(monkeypatch):
         u = group_count(4, 4 * n)
         assert equal_group(masses, u) == adg._drain(masses, u)
         assert (n, u) in adg._unit_memo  # the newest entry always stays
-        assert _memo_labels() <= 64
+        assert sum(len(label) for label, _, _ in adg._unit_memo.values()) <= 64
     assert list(adg._unit_memo) == [(3, 2), (5, 4)]
