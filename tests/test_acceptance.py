@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -21,7 +22,8 @@ from adgstego import frame, group_count
 from adgstego.baselines import make_codec
 from adgstego.bitio import deframe
 from adgstego.cli import main
-from adgstego.lm import DENOMINATOR, ConditionalDistribution, quantize
+from adgstego.corpus import BOS_ID, EOS_ID, build_vocab
+from adgstego.lm import DENOMINATOR, ConditionalDistribution, quantize, train_ngram
 from adgstego.runner import GenerationConfig, embed_text, extract_text
 
 from conftest import CLI_ENV, random_distribution, sorted_groups
@@ -486,7 +488,41 @@ def test_determinism_across_runs_and_processes(cli_artifacts, capsys):
 # ------------------------------------------------------------------ 7
 # Quantization soundness: for 1e5 random float distributions the integer
 # masses sum exactly to the fixed denominator and each entry is within
-# (n+1) mass units of the exact scaled probability.
+# (n+1) mass units of the exact scaled probability.  On the n-gram path,
+# over random add-k models, every distribution sums to the denominator and
+# every entry lies within one unit of its exact scaled probability, except
+# the entries the min-1 floor lowered to pay for the ones it raised.
+
+
+def _ngram_mass_errors(model, ctx, entry):
+    """Worst error among the entries the min-1 floor left alone, in units, and how many it raised and lowered.
+
+    ``ctx`` is a seen context, or None for the unigram counts; ``entry`` is
+    the table row, ``(ids, counts, total)``, that the model backs off to.
+    The errors are exact: with k = a/b an entry's scaled probability is
+    ``D * num / den``, ``num = b * count + a`` and ``den = b * total + a * V``.
+    """
+    v = model.vocab_size
+    # EOS is never followed by a token in training, so no seen context holds
+    # it before another token: padding with EOS reaches ``ctx`` itself.
+    context = [BOS_ID, EOS_ID] if ctx is None else [BOS_ID] + [EOS_ID] * (model.order - 1 - len(ctx)) + list(ctx)
+    dist = model.next_distribution(context)
+    a, b = Fraction(model.k).as_integer_ratio()
+    ids, counts, total = entry
+    nums = [a] * v
+    for token, count in zip(ids.tolist(), counts.tolist()):
+        nums[token] = b * int(count) + a
+    den = b * int(total) + a * v
+    assert sum(nums) == den
+    worst, raised, lowered = Fraction(0), 0, 0
+    for token, mass in zip(dist.token_ids.tolist(), dist.masses.tolist()):
+        err = Fraction(mass * den - DENOMINATOR * nums[token], den)
+        if err <= -1:
+            lowered += 1
+        else:
+            worst = max(worst, abs(err))
+            raised += DENOMINATOR * nums[token] < den
+    return dist.denominator, len(dist), worst, raised, lowered
 
 
 def test_quantization_soundness_at_scale(capsys):
@@ -503,11 +539,33 @@ def test_quantization_soundness_at_scale(capsys):
             sums_exact = False
         err = float(np.abs(out - probs * DENOMINATOR).max())
         worst_rel = max(worst_rel, err / (n + 1))
-    ok = sums_exact and worst_rel <= 1.0
+
+    # The n-gram path, against its exact scaled probabilities.
+    rand = random.Random(7_001)
+    n_models, n_dists, ngram_sums_exact, worst, floored, unexplained = 150, 0, True, Fraction(0), 0, 0
+    for _ in range(n_models):
+        words = [f"w{i}" for i in range(rand.randint(1, 200))]
+        sents = [rand.choices(words, k=rand.randint(0, 12)) for _ in range(rand.randint(1, 30))]
+        vocab = build_vocab(sents, min_count=1)
+        k = rand.choice([0.5, 1.0, 0.1, 1e-3, 1e-9, rand.uniform(1e-6, 3.0)])
+        model = train_ngram([vocab.encode_sentence(s) for s in sents], order=rand.randint(2, 3), k=k, vocab=vocab)
+        uni = np.flatnonzero(model.unigram_counts)
+        rows = [(None, (uni, model.unigram_counts[uni], model.unigram_total))] + list(model.contexts.items())
+        for ctx, entry in rows:
+            total, size, err, raised, lowered = _ngram_mass_errors(model, ctx, entry)
+            n_dists += 1
+            ngram_sums_exact &= total == DENOMINATOR and size == model.vocab_size
+            worst = max(worst, err)
+            floored += lowered > 0
+            unexplained += lowered > 0 and not raised
+    ok = sums_exact and worst_rel <= 1.0 and ngram_sums_exact and worst < 1 and not unexplained
     _verdict(
         capsys,
         "7/7 quantization soundness",
         ok,
         f"{n_trials} distributions (n in 1..512): all sums == 2^31 ({sums_exact}); "
-        f"max per-entry error = {worst_rel:.3f} of the (n+1)/2^31 bound",
+        f"max per-entry error = {worst_rel:.3f} of the (n+1)/2^31 bound; "
+        f"{n_dists} distributions of {n_models} random add-k models: all sums == 2^31 over the whole vocabulary "
+        f"({ngram_sums_exact}), max error of an entry the min-1 floor left alone = {float(worst):.3f} units (< 1), "
+        f"{floored} distributions lowered entries to floor others, {unexplained} of them with none to floor",
     )

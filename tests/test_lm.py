@@ -1,5 +1,6 @@
 """Quantization, the n-gram model and the external provider protocol."""
 
+import hashlib
 import io
 import json
 import math
@@ -25,6 +26,7 @@ from adgstego.lm import (
     sample_token,
     train_ngram,
 )
+from adgstego.runner import mask_eos_min
 
 
 def reference_quantize(probs):
@@ -189,26 +191,53 @@ def test_sample_token_is_one_inverse_cdf_draw(masses, seed):
     assert rng.getstate() == twin.getstate()
 
 
+def _mass(dist, token):
+    return int(dist.masses[dist.position_of(token)])
+
+
+def reference_ngram_distribution(model, context):
+    """The add-k masses of ``model`` at ``context`` from exact Fractions, in canonical order.
+
+    Backs off along the context's suffixes to the longest seen one, then to
+    the unigram counts, as the model does, and apportions the exact
+    probabilities ``(count + k) / (total + k * V)`` with ``reference_quantize``.
+    """
+    k, v = Fraction(model.k), model.vocab_size
+    counts, total = [int(c) for c in model.unigram_counts], model.unigram_total
+    for length in range(min(model.order - 1, len(context)), 0, -1):
+        entry = model.contexts.get(tuple(context[-length:]))
+        if entry is not None:
+            ids, seen, total = entry
+            counts = [0] * v
+            for token, count in zip(ids.tolist(), seen.tolist()):
+                counts[token] = int(count)
+            break
+    masses = reference_quantize([(c + k) / (total + k * v) for c in counts])
+    order = sorted(range(v), key=lambda i: (-masses[i], i))
+    return order, [masses[i] for i in order]
+
+
 def test_ngram_counts_shape_the_conditional():
     vocab, model = _tiny_model()
     a, b, c = (vocab.token_to_id[t] for t in "abc")
-    p = model.next_scores([BOS_ID, a])
-    assert p[b] > p[c] > p[EOS_ID]
-    assert abs(p.sum() - 1.0) < 1e-12
+    dist = model.next_distribution([BOS_ID, a])
+    assert _mass(dist, b) > _mass(dist, c) > _mass(dist, EOS_ID)
+    assert dist.denominator == DENOMINATOR
     # add-1 smoothing over the seen context "a": counts b=2, c=1, total 3.
     v = len(vocab)
-    assert p[b] == pytest.approx((2 + 1) / (3 + v))
-    assert p[c] == pytest.approx((1 + 1) / (3 + v))
+    assert abs(_mass(dist, b) - Fraction(2 + 1, 3 + v) * DENOMINATOR) < 1
+    assert abs(_mass(dist, c) - Fraction(1 + 1, 3 + v) * DENOMINATOR) < 1
+    assert (dist.token_ids.tolist(), dist.masses.tolist()) == reference_ngram_distribution(model, [BOS_ID, a])
 
 
 def test_ngram_unseen_context_backs_off_to_unigram():
     vocab, model = _tiny_model()
     # EOS never occurs as a context in training, so the backoff chain
     # bottoms out at the smoothed unigram distribution.
-    p = model.next_scores([BOS_ID, EOS_ID])
-    uni = model.unigram_counts + model.k
-    uni /= uni.sum()
-    assert np.allclose(p, uni)
+    dist = model.next_distribution([BOS_ID, EOS_ID])
+    uni = [Fraction(int(c)) + 1 for c in model.unigram_counts]
+    masses = reference_quantize([u / sum(uni) for u in uni])
+    assert [_mass(dist, t) for t in range(len(vocab))] == masses
 
 
 def test_ngram_longest_seen_suffix_wins():
@@ -217,10 +246,28 @@ def test_ngram_longest_seen_suffix_wins():
     ids = [vocab.encode_sentence(s) for s in sents]
     model = train_ngram(ids, order=3, k=0.5, vocab=vocab)
     a, b, c, d = (vocab.token_to_id[t] for t in "abcd")
-    p = model.next_scores([a, b])  # trigram context ("a","b") was seen
-    assert p[c] > p[d]
-    p2 = model.next_scores([d, b])  # unseen pair falls back to context ("b",)
-    assert p2[c] == p2[d] > 0
+    dist = model.next_distribution([BOS_ID, a, b])  # trigram context ("a","b") was seen
+    assert _mass(dist, c) > _mass(dist, d)
+    dist2 = model.next_distribution([BOS_ID, d, b])  # unseen pair falls back to context ("b",)
+    assert _mass(dist2, c) == _mass(dist2, d) > 0
+    assert _mass(dist2, c) > _mass(dist2, a)
+
+
+# SHA-256 over the ids and masses (int64, little-endian) of every
+# distribution of the bundled order-2, k = 0.5 model: each seen context in
+# id order, then the unigram backoff, each as is and then EOS-masked.
+BUNDLED_DISTRIBUTIONS_SHA256 = "578a813e6d323c98c8ec2d366c40bff1d4ae92d6d4a3b0a1c03b2aee4cec1933"
+
+
+def test_bundled_model_distributions_are_pinned(model):
+    contexts = [[BOS_ID, *ctx] for ctx in sorted(model.contexts)] + [[BOS_ID, EOS_ID]]
+    assert len(contexts) == 902 and model.vocab_size == 904
+    digest = hashlib.sha256()
+    for context in contexts:
+        dist = model.next_distribution(context)
+        for d in (dist, mask_eos_min(dist)):
+            digest.update(d.token_ids.astype("<i8").tobytes() + d.masses.astype("<i8").tobytes())
+    assert digest.hexdigest() == BUNDLED_DISTRIBUTIONS_SHA256
 
 
 def test_ngram_distribution_requires_bos():
