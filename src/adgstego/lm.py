@@ -5,7 +5,11 @@ desynchronizes, so every distribution holds positive integer masses, and
 all downstream grouping logic compares integers only.  A distribution's
 total (``denominator``) is the sum of its masses; ``quantize`` apportions
 exactly ``2**31`` among float probabilities (largest-remainder method).
-The float path exists solely upstream of quantization.
+The float path exists solely upstream of quantization, for providers that
+hand over probabilities.  The n-gram model needs no floats: any finite k
+is an exact ratio ``a / b``, so its add-k masses come from integer counts
+alone, apportioned by the same rule, and match the apportionment of the
+exact rational probabilities on every machine.
 
 Every step of building a distribution is linear or near-linear, because a
 neural-style provider hands over a fresh one per token.  ``quantize``
@@ -13,7 +17,9 @@ finds the largest remainders by selection (``np.partition``), not by a
 sort.  ``ConditionalDistribution`` puts its entries in canonical order
 (mass desc, id asc) with one stable argsort, which is adaptive on the
 nearly sorted input providers give; the two-key sort runs only when a run
-of equal masses comes out of id order.
+of equal masses comes out of id order.  The n-gram model works once per
+level, a level being the ids of one count under the context (the unseen
+ids form one), and lays its result out in canonical order itself.
 
 Two sources are provided: a trainable add-k / backoff n-gram model, and a
 client for an external provider speaking newline-delimited JSON
@@ -32,6 +38,7 @@ import selectors
 import subprocess
 import time
 from bisect import bisect_right
+from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -85,14 +92,19 @@ def quantize(probs: Sequence[float]) -> np.ndarray:
         out[np.flatnonzero(remainders == threshold)[:fill]] += 1
 
     if out.min() == 0:
-        out[out == 0] = 1
-        excess = int(out.sum()) - DENOMINATOR
-        while excess > 0:
-            top = int(np.argmax(out))
-            take = min(excess, int(out[top]) - 1)
-            out[top] -= take
-            excess -= take
+        _floor_at_one(out)
     return out
+
+
+def _floor_at_one(out: np.ndarray) -> None:
+    """Raise zero masses to 1 in place, taking the units from the largest entry (lowest index on ties)."""
+    out[out == 0] = 1
+    excess = int(out.sum()) - DENOMINATOR
+    while excess > 0:
+        top = int(np.argmax(out))
+        take = min(excess, int(out[top]) - 1)
+        out[top] -= take
+        excess -= take
 
 
 class ConditionalDistribution:
@@ -112,7 +124,10 @@ class ConditionalDistribution:
     __slots__ = ("token_ids", "masses", "denominator", "cache", "_positions")
 
     def __init__(self, token_ids: Sequence[int], masses: Sequence[int]):
-        token_ids, masses = np.asarray(token_ids), np.asarray(masses)
+        try:
+            token_ids, masses = np.asarray(token_ids), np.asarray(masses)
+        except ValueError as exc:  # ragged nesting
+            raise QuantizationError(f"ids and masses are not vectors: {exc}") from exc
         # An empty list reads as float64, so the size is checked before the dtype.
         if token_ids.shape != masses.shape or not masses.size or {token_ids.dtype.kind, masses.dtype.kind} - {"i", "u"}:
             raise QuantizationError("a distribution needs one integer id per integer mass and at least one entry")
@@ -125,11 +140,26 @@ class ConditionalDistribution:
         if np.any((m[1:] == m[:-1]) & (ids[1:] < ids[:-1])):
             order = np.lexsort((token_ids, -masses))
             ids, m = token_ids[order], masses[order]
-        self.token_ids, self.masses = ids, m
-        self.denominator = int(m.sum())
+        self._adopt(ids, m, int(m.sum()))
+
+    def _adopt(self, token_ids: np.ndarray, masses: np.ndarray, denominator: int) -> None:
+        self.token_ids, self.masses, self.denominator = token_ids, masses, denominator
         self.cache: Dict = {}
         # None until the first lookup, False after it, then the id->position map.
         self._positions: Union[None, bool, Dict[int, int]] = None
+
+    @classmethod
+    def _canonical(cls, token_ids: np.ndarray, masses: np.ndarray) -> "ConditionalDistribution":
+        """Adopt int64 ids and masses that the caller laid out in canonical order, without sorting.
+
+        Only the total (``DENOMINATOR``) and the last, smallest mass (>= 1)
+        are checked.
+        """
+        if int(masses.sum()) != DENOMINATOR or masses[-1] < 1:
+            raise QuantizationError(f"masses sum to {int(masses.sum())}, not {DENOMINATOR}, or end below 1")
+        dist = cls.__new__(cls)
+        dist._adopt(token_ids, masses, DENOMINATOR)
+        return dist
 
     def __len__(self) -> int:
         return int(self.token_ids.size)
@@ -156,7 +186,11 @@ class ConditionalDistribution:
     @classmethod
     def from_probs(cls, token_ids: Sequence[int], probs: Sequence[float]) -> "ConditionalDistribution":
         """Quantize ``probs`` to masses summing to ``2**31``; ids must be distinct integers."""
-        ids, masses = np.asarray(token_ids), quantize(probs)
+        masses = quantize(probs)
+        try:
+            ids = np.asarray(token_ids)
+        except ValueError as exc:  # ragged nesting
+            raise QuantizationError(f"token ids are not a vector: {exc}") from exc
         if ids.shape != masses.shape:
             raise QuantizationError("ids and probs shape mismatch")
         if ids.size != np.unique(ids).size:
@@ -211,29 +245,82 @@ class NGramLM:
         self.unigram_counts = unigram_counts
         self.unigram_total = int(unigram_counts.sum())
         self.contexts = contexts
+        self._k_ratio = Fraction(k).as_integer_ratio()
+        self._ids = np.arange(vocab_size, dtype=np.int64)
 
     @property
     def context_window(self) -> int:
         """Only the trailing ``order - 1`` tokens influence the conditional."""
         return self.order - 1
 
-    def next_scores(self, context: Sequence[int]) -> np.ndarray:
-        v = self.vocab_size
+    def next_distribution(self, context: Sequence[int]) -> ConditionalDistribution:
+        if not context or context[0] != BOS_ID:
+            raise ConfigError("context must begin with the BOS id")
         for length in range(min(self.order - 1, len(context)), 0, -1):
             entry = self.contexts.get(tuple(context[-length:]))
             if entry is not None:
-                ids, counts, total = entry
-                s = np.full(v, self.k, dtype=np.float64)
-                s[ids] += counts
-                return s / (total + self.k * v)
-        s = self.unigram_counts + self.k
-        return s / (self.unigram_total + self.k * v)
+                return self._smoothed(*entry)
+        seen = np.flatnonzero(self.unigram_counts)
+        return self._smoothed(seen, self.unigram_counts[seen], self.unigram_total)
 
-    def next_distribution(self, context: Sequence[int]) -> ConditionalDistribution:
-        if not context or context[0] != BOS_ID:
-            raise ValueError("context must begin with the BOS id")
-        scores = self.next_scores(context)
-        return ConditionalDistribution(np.arange(self.vocab_size, dtype=np.int64), quantize(scores))
+    def _smoothed(self, ids: np.ndarray, counts: np.ndarray, total: int) -> ConditionalDistribution:
+        """Apportion ``DENOMINATOR`` among ``(count + k) / (total + k * V)`` in integers alone.
+
+        With ``k = a / b`` exactly, an id's share is ``D * num / den`` for
+        ``num = b * count + a`` and ``den = b * total + a * V``: its floor,
+        plus one of the leftover units for the largest remainders, lower id
+        first on ties, as in :func:`quantize`.  Ids of one count share their
+        floor and remainder, so the arithmetic runs once per level: once per
+        distinct count of the seen ids, and once for the unseen ids, whose
+        count is 0.  A level's units go to its lowest ids.  The result is laid
+        out in canonical order directly, level by level in count order with
+        ids ascending in each, which holds while no two levels tie on a
+        remainder and every level's masses lie below the ones before it.
+        Otherwise, or when a mass floors at zero, :meth:`_smoothed_dense`
+        apportions over the whole vocabulary and sorts.
+        """
+        v, (a, b) = self.vocab_size, self._k_ratio
+        den = b * total + a * v
+        order = np.lexsort((ids, -counts))
+        seen, counts = ids[order], counts[order]
+        # Each level is (count, size): the runs of one count in count order, then the unseen ids.
+        starts = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist()] if seen.size else []
+        ends = [*starts[1:], seen.size]
+        levels = [(int(c), end - start) for c, start, end in zip(counts[starts].tolist(), starts, ends)]
+        if seen.size < v:
+            levels.append((0, v - seen.size))
+        ids = np.concatenate((seen, np.delete(self._ids, seen)))
+        sizes = [size for _count, size in levels]
+        floors, rems = zip(*(divmod(DENOMINATOR * (b * count + a), den) for count, _size in levels))
+        deficit = DENOMINATOR - sum(floor * size for floor, size in zip(floors, sizes))
+        ranked = sorted(set(rems), reverse=True)
+        if len(ranked) == len(levels):
+            # The leftover units fill whole levels, largest remainder first.
+            units, left = [0] * len(levels), deficit
+            for level in sorted(range(len(levels)), key=rems.__getitem__, reverse=True):
+                units[level] = min(sizes[level], left)
+                left -= units[level]
+            highs = [floor + (u > 0) for floor, u in zip(floors, units)]
+            lows = [floor + (u == size) for floor, u, size in zip(floors, units, sizes)]
+            if lows[-1] >= 1 and all(high < low for high, low in zip(highs[1:], lows)):
+                values = [m for floor in floors for m in (floor + 1, floor)]
+                lengths = [n for u, size in zip(units, sizes) for n in (u, size - u)]
+                return ConditionalDistribution._canonical(ids, np.repeat(np.asarray(values, np.int64), lengths))
+        rank = {rem: i for i, rem in enumerate(ranked)}
+        return self._smoothed_dense(ids, floors, [rank[rem] for rem in rems], sizes, deficit)
+
+    def _smoothed_dense(self, ids: np.ndarray, floors, ranks, sizes, deficit: int) -> ConditionalDistribution:
+        """The apportionment of :meth:`_smoothed` over the whole vocabulary, floored at 1 and sorted.
+
+        ``ids`` lists the levels' ids in turn; ``floors``, ``ranks`` (of the
+        remainder, 0 for the largest) and ``sizes`` describe each level.
+        """
+        masses, rank = np.empty(self.vocab_size, np.int64), np.empty(self.vocab_size, np.int64)
+        masses[ids], rank[ids] = np.repeat(floors, sizes), np.repeat(ranks, sizes)
+        masses[np.lexsort((self._ids, rank))[:deficit]] += 1
+        if masses.min() == 0:
+            _floor_at_one(masses)
+        return ConditionalDistribution(self._ids, masses)
 
     def save(self, path: str) -> None:
         # Every length up to order - 1 is listed, even with no context under it; sort_keys orders the rest.
@@ -288,6 +375,8 @@ class NGramLM:
                     if np.any((named < 0) | (named >= vocab_size)):
                         raise ModelMismatchError(
                             f"model file {path} context {key!r} holds a token id outside [0, {vocab_size})")
+                    if np.unique(arr_ids).size != arr_ids.size:
+                        raise ModelMismatchError(f"model file {path} context {key!r} lists a successor id twice")
                     if arr_ids.shape != arr_counts.shape:
                         raise ModelMismatchError(
                             f"model file {path} context {key!r} holds {arr_ids.size} ids but {arr_counts.size} counts")

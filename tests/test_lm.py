@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adgstego.corpus import BOS_ID, EOS_ID, build_vocab
-from adgstego.errors import ModelMismatchError, ProviderError, QuantizationError
+from adgstego.errors import ModelMismatchError, ProviderError, QuantizationError, StegoError
 from adgstego.lm import (
     DENOMINATOR,
     ConditionalDistribution,
@@ -154,6 +154,17 @@ def test_unreadable_probabilities_raise_quantization_error(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ConditionalDistribution([[1], [1, 2]], [1, 1]),
+    lambda: ConditionalDistribution([1, 2], [[1], [1, 2]]),
+    lambda: ConditionalDistribution.from_probs([[1], [1, 2]], [0.5, 0.5]),
+], ids=["ragged-ids", "ragged-masses", "from-probs-ragged-ids"])
+def test_ragged_ids_or_masses_raise_quantization_error(call):
+    # numpy's "inhomogeneous shape" ValueError was once raised bare.
+    with pytest.raises(QuantizationError):
+        call()
+
+
 def _tiny_model(order=2, k=1.0):
     # corpus: "a b . a b . a c"
     sents = [["a", "b"], ["a", "b"], ["a", "c"]]
@@ -253,6 +264,25 @@ def test_ngram_longest_seen_suffix_wins():
     assert _mass(dist2, c) > _mass(dist2, a)
 
 
+@given(
+    st.integers(2, 3),
+    st.sampled_from([0.5, 1.0, 0.1, 1e-3, 1e-9]),
+    st.lists(st.lists(st.integers(0, 55), min_size=0, max_size=10), min_size=1, max_size=8),
+    st.lists(st.lists(st.integers(0, 59), max_size=3), max_size=5),
+)
+@settings(max_examples=80, deadline=None)
+def test_ngram_masses_match_the_exact_reference(order, k, corpus, extra_contexts):
+    sents = [[f"w{i}" for i in sent] for sent in corpus]
+    vocab = build_vocab(sents, min_count=1)
+    model = train_ngram([vocab.encode_sentence(s) for s in sents], order=order, k=k, vocab=vocab)
+    v = len(vocab)
+    contexts = [[BOS_ID, *ctx] for ctx in model.contexts]
+    contexts += [[BOS_ID], [BOS_ID, EOS_ID]] + [[BOS_ID] + [t % v for t in ctx] for ctx in extra_contexts]
+    for context in contexts:
+        dist = model.next_distribution(context)
+        assert (dist.token_ids.tolist(), dist.masses.tolist()) == reference_ngram_distribution(model, context)
+
+
 # SHA-256 over the ids and masses (int64, little-endian) of every
 # distribution of the bundled order-2, k = 0.5 model: each seen context in
 # id order, then the unigram backoff, each as is and then EOS-masked.
@@ -273,6 +303,8 @@ def test_bundled_model_distributions_are_pinned(model):
 def test_ngram_distribution_requires_bos():
     _vocab, model = _tiny_model()
     with pytest.raises(ValueError):
+        model.next_distribution([5])
+    with pytest.raises(StegoError):
         model.next_distribution([5])
     dist = model.next_distribution([BOS_ID])
     assert int(dist.masses.sum()) == DENOMINATOR
@@ -375,6 +407,18 @@ def test_model_load_rejects_booleans_and_fractional_ids(tmp_path):
         edited.write_text(json.dumps(doc))
         with pytest.raises(ModelMismatchError, match=edited.name):
             NGramLM.load(str(edited), vocab)
+
+
+def test_model_load_rejects_a_successor_listed_twice(tmp_path):
+    vocab, model = _tiny_model()
+    path = tmp_path / "model.json"
+    model.save(str(path))
+    doc = json.loads(path.read_text())
+    ids, counts = doc["contexts"]["1"][str(BOS_ID)]
+    doc["contexts"]["1"][str(BOS_ID)] = [ids + ids[:1], counts + counts[:1]]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelMismatchError, match="model.json.*twice"):
+        NGramLM.load(str(path), vocab)
 
 
 def test_model_load_rejects_a_context_listed_under_another_length(tmp_path):
