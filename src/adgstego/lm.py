@@ -276,8 +276,9 @@ class NGramLM:
         out in canonical order directly, level by level in count order with
         ids ascending in each, which holds while no two levels tie on a
         remainder and every level's masses lie below the ones before it.
-        Otherwise, or when a mass floors at zero, :meth:`_smoothed_dense`
-        apportions over the whole vocabulary and sorts.
+        Otherwise, or when a mass floors at zero, the apportionment runs over
+        the whole vocabulary, is floored at 1 and sorted, as for
+        :func:`quantize`'s output.
         """
         v, (a, b) = self.vocab_size, self._k_ratio
         den = b * total + a * v
@@ -306,18 +307,12 @@ class NGramLM:
                 values = [m for floor in floors for m in (floor + 1, floor)]
                 lengths = [n for u, size in zip(units, sizes) for n in (u, size - u)]
                 return ConditionalDistribution._canonical(ids, np.repeat(np.asarray(values, np.int64), lengths))
+        # The whole vocabulary by id: each id takes its level's floor and the
+        # rank of its level's remainder, and ties between levels go by id.
         rank = {rem: i for i, rem in enumerate(ranked)}
-        return self._smoothed_dense(ids, floors, [rank[rem] for rem in rems], sizes, deficit)
-
-    def _smoothed_dense(self, ids: np.ndarray, floors, ranks, sizes, deficit: int) -> ConditionalDistribution:
-        """The apportionment of :meth:`_smoothed` over the whole vocabulary, floored at 1 and sorted.
-
-        ``ids`` lists the levels' ids in turn; ``floors``, ``ranks`` (of the
-        remainder, 0 for the largest) and ``sizes`` describe each level.
-        """
-        masses, rank = np.empty(self.vocab_size, np.int64), np.empty(self.vocab_size, np.int64)
-        masses[ids], rank[ids] = np.repeat(floors, sizes), np.repeat(ranks, sizes)
-        masses[np.lexsort((self._ids, rank))[:deficit]] += 1
+        masses, ranks = np.empty(v, np.int64), np.empty(v, np.int64)
+        masses[ids], ranks[ids] = np.repeat(floors, sizes), np.repeat([rank[rem] for rem in rems], sizes)
+        masses[np.lexsort((self._ids, ranks))[:deficit]] += 1
         if masses.min() == 0:
             _floor_at_one(masses)
         return ConditionalDistribution(self._ids, masses)

@@ -283,6 +283,27 @@ def test_ngram_masses_match_the_exact_reference(order, k, corpus, extra_contexts
         assert (dist.token_ids.tolist(), dist.masses.tolist()) == reference_ngram_distribution(model, context)
 
 
+@given(
+    st.integers(1, 56),
+    st.sampled_from([0.5, 1.0, 0.1, 1e-3, 1e-9, 3.0]),
+    st.lists(st.integers(0, 6) | st.integers(0, 1 << 40), min_size=1, max_size=60),
+    st.lists(st.integers(0, 6) | st.integers(0, 1 << 40), min_size=1, max_size=60),
+)
+@settings(max_examples=150, deadline=None)
+def test_ngram_masses_match_the_exact_reference_on_any_count_table(words, k, unigram, successors):
+    # Counts up to 2**40 bring adjacent levels within a unit of each other,
+    # and small ones give levels whose remainders tie.
+    v = words + 4
+    unigram_counts = np.zeros(v)
+    unigram_counts[BOS_ID + 1:][: len(unigram)] = unigram[: v - BOS_ID - 1]
+    ids = np.asarray(sorted(set(t % v for t in range(len(successors)))), dtype=np.int64)
+    counts = np.asarray(successors[: ids.size], dtype=np.float64)
+    model = NGramLM(2, k, v, "", unigram_counts, {(BOS_ID,): (ids, counts, int(counts.sum()))})
+    for context in ([BOS_ID], [BOS_ID, EOS_ID]):
+        dist = model.next_distribution(context)
+        assert (dist.token_ids.tolist(), dist.masses.tolist()) == reference_ngram_distribution(model, context)
+
+
 # SHA-256 over the ids and masses (int64, little-endian) of every
 # distribution of the bundled order-2, k = 0.5 model: each seen context in
 # id order, then the unigram backoff, each as is and then EOS-masked.
