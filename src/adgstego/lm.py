@@ -285,12 +285,14 @@ class NGramLM:
         order = np.lexsort((ids, -counts))
         seen, counts = ids[order], counts[order]
         # Each level is (count, size): the runs of one count in count order, then the unseen ids.
-        starts = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist()] if seen.size else []
+        starts = [0, *((counts[1:] != counts[:-1]).nonzero()[0] + 1).tolist()] if seen.size else []
         ends = [*starts[1:], seen.size]
         levels = [(int(c), end - start) for c, start, end in zip(counts[starts].tolist(), starts, ends)]
         if seen.size < v:
             levels.append((0, v - seen.size))
-        ids = np.concatenate((seen, np.delete(self._ids, seen)))
+        unseen = np.ones(v, dtype=bool)
+        unseen[seen] = False
+        ids = np.concatenate((seen, self._ids[unseen]))
         sizes = [size for _count, size in levels]
         floors, rems = zip(*(divmod(DENOMINATOR * (b * count + a), den) for count, _size in levels))
         deficit = DENOMINATOR - sum(floor * size for floor, size in zip(floors, sizes))
@@ -306,7 +308,7 @@ class NGramLM:
             if lows[-1] >= 1 and all(high < low for high, low in zip(highs[1:], lows)):
                 values = [m for floor in floors for m in (floor + 1, floor)]
                 lengths = [n for u, size in zip(units, sizes) for n in (u, size - u)]
-                return ConditionalDistribution._canonical(ids, np.repeat(np.asarray(values, np.int64), lengths))
+                return ConditionalDistribution._canonical(ids, np.asarray(values, np.int64).repeat(lengths))
         # The whole vocabulary by id: each id takes its level's floor and the
         # rank of its level's remainder, and ties between levels go by id.
         rank = {rem: i for i, rem in enumerate(ranked)}
