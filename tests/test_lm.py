@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adgstego.corpus import BOS_ID, EOS_ID, build_vocab
@@ -283,21 +283,31 @@ def test_ngram_masses_match_the_exact_reference(order, k, corpus, extra_contexts
         assert (dist.token_ids.tolist(), dist.masses.tolist()) == reference_ngram_distribution(model, context)
 
 
+COUNTS = st.integers(0, 6) | st.integers(1 << 20, (1 << 20) + 6) | st.integers(0, 1 << 40)
+
+
 @given(
     st.integers(1, 56),
     st.sampled_from([0.5, 1.0, 0.1, 1e-3, 1e-9, 3.0]),
-    st.lists(st.integers(0, 6) | st.integers(0, 1 << 40), min_size=1, max_size=60),
-    st.lists(st.integers(0, 6) | st.integers(0, 1 << 40), min_size=1, max_size=60),
+    st.lists(COUNTS, max_size=60),
+    st.dictionaries(st.integers(0, 59), COUNTS, min_size=1, max_size=60),
 )
+@example(words=1, k=0.5, unigram=[], successors={0: 1 << 40, 1: (1 << 20) + 1, 2: (1 << 20) + 2, 3: (1 << 20) + 3,
+                                                  4: (1 << 20) + 4})
 @settings(max_examples=150, deadline=None)
 def test_ngram_masses_match_the_exact_reference_on_any_count_table(words, k, unigram, successors):
-    # Counts up to 2**40 bring adjacent levels within a unit of each other,
-    # and small ones give levels whose remainders tie.
+    # Small counts give levels whose remainders tie.  Beside a count near
+    # 2**40, counts just above 2**20 give levels a few thousand units high
+    # and within a unit of each other: in the explicit example, which has
+    # no unseen id, ids 1-4 get one mass, so they come in id order, not in
+    # count order.
     v = words + 4
     unigram_counts = np.zeros(v)
-    unigram_counts[BOS_ID + 1:][: len(unigram)] = unigram[: v - BOS_ID - 1]
-    ids = np.asarray(sorted(set(t % v for t in range(len(successors)))), dtype=np.int64)
-    counts = np.asarray(successors[: ids.size], dtype=np.float64)
+    unigram = unigram[: v - EOS_ID]
+    unigram_counts[EOS_ID : EOS_ID + len(unigram)] = unigram  # BOS is never a successor
+    table = {token % v: count for token, count in successors.items()}
+    ids = np.asarray(sorted(table), dtype=np.int64)
+    counts = np.asarray([table[t] for t in sorted(table)], dtype=np.float64)
     model = NGramLM(2, k, v, "", unigram_counts, {(BOS_ID,): (ids, counts, int(counts.sum()))})
     for context in ([BOS_ID], [BOS_ID, EOS_ID]):
         dist = model.next_distribution(context)
