@@ -292,15 +292,19 @@ COUNTS = st.integers(0, 6) | st.integers(1 << 20, (1 << 20) + 6) | st.integers(0
     st.lists(COUNTS, max_size=60),
     st.dictionaries(st.integers(0, 59), COUNTS, min_size=1, max_size=60),
 )
+@example(words=2, k=3.0, unigram=[], successors={0: 6, 2: 1, 3: 5, 4: 4, 5: 6})
+@example(words=1, k=3.0, unigram=[], successors={1: 3, 4: 0})
 @example(words=1, k=0.5, unigram=[], successors={0: 1 << 40, 1: (1 << 20) + 1, 2: (1 << 20) + 2, 3: (1 << 20) + 3,
                                                   4: (1 << 20) + 4})
 @settings(max_examples=150, deadline=None)
 def test_ngram_masses_match_the_exact_reference_on_any_count_table(words, k, unigram, successors):
-    # Small counts give levels whose remainders tie.  Beside a count near
+    # Small counts give levels whose remainders tie, so that the leftover
+    # units go by id across levels (the first two explicit examples; in the
+    # second a seen id of count 0 ties the unseen ones).  Beside a count near
     # 2**40, counts just above 2**20 give levels a few thousand units high
-    # and within a unit of each other: in the explicit example, which has
-    # no unseen id, ids 1-4 get one mass, so they come in id order, not in
-    # count order.
+    # and within a unit of each other: in the third explicit example, which
+    # has no unseen id, ids 1-4 get one mass, so they come in id order, not
+    # in count order.
     v = words + 4
     unigram_counts = np.zeros(v)
     unigram = unigram[: v - EOS_ID]
