@@ -3,16 +3,18 @@
 Sender and receiver must derive bit-identical distributions or extraction
 desynchronizes, so every distribution holds positive integer masses, and
 all downstream grouping logic compares integers only.  A distribution's
-total (``denominator``) is the sum of its masses; ``quantize`` apportions
-exactly ``2**31`` among float probabilities (largest-remainder method).
-The float path exists solely upstream of quantization, for providers that
-hand over probabilities.  The n-gram model needs no floats: any finite k
-is an exact ratio ``a / b``, so its add-k masses come from integer counts
-alone, apportioned by the same rule, and match the apportionment of the
-exact rational probabilities on every machine.
+total (``denominator``) is the sum of its masses.  One rule, written once
+in ``_hand_out``, apportions exactly ``2**31`` units: each entry takes the
+floor of its share, the leftover units go to the largest remainders (lower
+index first on ties), and every entry is then floored at one unit.
+``quantize`` applies it to float probabilities, for providers that hand
+those over; that path is the only float one.  The n-gram model needs no
+floats: any finite k is an exact ratio ``a / b``, so its add-k masses come
+from integer counts alone, apportioned by the same rule, and match the
+apportionment of the exact rational probabilities on every machine.
 
 Every step of building a distribution is linear or near-linear, because a
-neural-style provider hands over a fresh one per token.  ``quantize``
+neural-style provider hands over a fresh one per token.  ``_hand_out``
 finds the largest remainders by selection (``np.partition``), not by a
 sort.  ``ConditionalDistribution`` puts its entries in canonical order
 (mass desc, id asc) with one stable argsort, which is adaptive on the
@@ -52,11 +54,10 @@ MODEL_FORMAT_VERSION = 1
 
 
 def quantize(probs: Sequence[float]) -> np.ndarray:
-    """Largest-remainder apportionment of ``DENOMINATOR`` among ``probs``.
+    """Largest-remainder apportionment of ``DENOMINATOR`` among ``probs``, by :func:`_hand_out`.
 
-    Entries that would round to zero are floored at 1, with the deficit
-    taken from the largest entry, so every token keeps nonzero mass and
-    the numerators sum to ``DENOMINATOR`` exactly.
+    Every token keeps nonzero mass and the numerators sum to
+    ``DENOMINATOR`` exactly.
     """
     try:
         arr = np.asarray(probs, dtype=np.float64)
@@ -77,34 +78,35 @@ def quantize(probs: Sequence[float]) -> np.ndarray:
     deficit = DENOMINATOR - int(out.sum())
     if not 0 <= deficit < arr.size:
         raise QuantizationError(f"{deficit} leftover units for {arr.size} entries")
+    scaled -= out  # the remainders, in place: scaled is not read again
+    return _hand_out(out, scaled, deficit)
+
+
+def _hand_out(out: np.ndarray, keys: np.ndarray, deficit: int) -> np.ndarray:
+    """The apportionment rule: ``deficit`` leftover units onto the floors ``out``, then a floor of 1, in place.
+
+    One unit goes to each of the ``deficit`` largest ``keys``, the lowest
+    index first among equal keys, so both ends agree: every key above the
+    deficit-th largest gets a unit, then the lowest-index keys equal to it
+    fill the rest.  Zero masses are then raised to 1, the units taken from
+    the largest entry (lowest index on ties), so the total is kept.
+    """
     if deficit:
-        # Hand the leftover units to the largest fractional remainders;
-        # ties resolve to the lower index so both ends agree.  Every
-        # remainder above the deficit-th largest gets a unit, then the
-        # lowest-index remainders equal to it fill the rest.
-        remainders = scaled  # in place: scaled is not read again
-        remainders -= out
-        threshold = np.partition(remainders, arr.size - deficit)[arr.size - deficit]
-        above = remainders > threshold
+        threshold = np.partition(keys, keys.size - deficit)[keys.size - deficit]
+        above = keys > threshold
         out += above
         # At least the threshold itself is left, so the fill is never empty.
         fill = deficit - int(np.count_nonzero(above))
-        out[np.flatnonzero(remainders == threshold)[:fill]] += 1
-
+        out[np.flatnonzero(keys == threshold)[:fill]] += 1
     if out.min() == 0:
-        _floor_at_one(out)
+        out[out == 0] = 1
+        excess = int(out.sum()) - DENOMINATOR
+        while excess > 0:
+            top = int(np.argmax(out))
+            take = min(excess, int(out[top]) - 1)
+            out[top] -= take
+            excess -= take
     return out
-
-
-def _floor_at_one(out: np.ndarray) -> None:
-    """Raise zero masses to 1 in place, taking the units from the largest entry (lowest index on ties)."""
-    out[out == 0] = 1
-    excess = int(out.sum()) - DENOMINATOR
-    while excess > 0:
-        top = int(np.argmax(out))
-        take = min(excess, int(out[top]) - 1)
-        out[top] -= take
-        excess -= take
 
 
 class ConditionalDistribution:
@@ -186,16 +188,10 @@ class ConditionalDistribution:
     @classmethod
     def from_probs(cls, token_ids: Sequence[int], probs: Sequence[float]) -> "ConditionalDistribution":
         """Quantize ``probs`` to masses summing to ``2**31``; ids must be distinct integers."""
-        masses = quantize(probs)
-        try:
-            ids = np.asarray(token_ids)
-        except ValueError as exc:  # ragged nesting
-            raise QuantizationError(f"token ids are not a vector: {exc}") from exc
-        if ids.shape != masses.shape:
-            raise QuantizationError("ids and probs shape mismatch")
-        if ids.size != np.unique(ids).size:
+        dist = cls(token_ids, quantize(probs))
+        if np.unique(dist.token_ids).size != len(dist):
             raise QuantizationError("duplicate token ids in distribution")
-        return cls(ids, masses)
+        return dist
 
 
 def sample_token(rng: random.Random, token_ids: np.ndarray, cumsum: np.ndarray, total: int) -> int:
@@ -269,16 +265,15 @@ class NGramLM:
         With ``k = a / b`` exactly, an id's share is ``D * num / den`` for
         ``num = b * count + a`` and ``den = b * total + a * V``: its floor,
         plus one of the leftover units for the largest remainders, lower id
-        first on ties, as in :func:`quantize`.  Ids of one count share their
+        first on ties, as :func:`_hand_out` gives them.  Ids of one count share their
         floor and remainder, so the arithmetic runs once per level: once per
         distinct count of the seen ids, and once for the unseen ids, whose
         count is 0.  A level's units go to its lowest ids.  The result is laid
         out in canonical order directly, level by level in count order with
         ids ascending in each, which holds while no two levels tie on a
         remainder and every level's masses lie below the ones before it.
-        Otherwise, or when a mass floors at zero, the apportionment runs over
-        the whole vocabulary, is floored at 1 and sorted, as for
-        :func:`quantize`'s output.
+        Otherwise, or when a mass floors at zero, :func:`_hand_out` runs over
+        the whole vocabulary by id, and the result is sorted.
         """
         v, (a, b) = self.vocab_size, self._k_ratio
         den = b * total + a * v
@@ -309,15 +304,12 @@ class NGramLM:
                 values = [m for floor in floors for m in (floor + 1, floor)]
                 lengths = [n for u, size in zip(units, sizes) for n in (u, size - u)]
                 return ConditionalDistribution._canonical(ids, np.asarray(values, np.int64).repeat(lengths))
-        # The whole vocabulary by id: each id takes its level's floor and the
-        # rank of its level's remainder, and ties between levels go by id.
+        # The whole vocabulary by id: each id takes its level's floor, keyed by
+        # its level's remainder rank, so ties between levels go by id.
         rank = {rem: i for i, rem in enumerate(ranked)}
-        masses, ranks = np.empty(v, np.int64), np.empty(v, np.int64)
-        masses[ids], ranks[ids] = np.repeat(floors, sizes), np.repeat([rank[rem] for rem in rems], sizes)
-        masses[np.lexsort((self._ids, ranks))[:deficit]] += 1
-        if masses.min() == 0:
-            _floor_at_one(masses)
-        return ConditionalDistribution(self._ids, masses)
+        masses, keys = np.empty(v, np.int64), np.empty(v, np.int64)
+        masses[ids], keys[ids] = np.repeat(floors, sizes), np.repeat([-rank[rem] for rem in rems], sizes)
+        return ConditionalDistribution(self._ids, _hand_out(masses, keys, deficit))
 
     def save(self, path: str) -> None:
         # Every length up to order - 1 is listed, even with no context under it; sort_keys orders the rest.
@@ -528,7 +520,7 @@ class ExternalProvider:
             raise ProviderError("provider reply ids must be nonnegative integers")
         if probs.dtype.kind not in "if":
             raise ProviderError("provider reply probabilities must be numbers")
-        # from_probs checks the shapes and duplicate ids, quantize the values.
+        # The constructor checks the shapes, from_probs the repeated ids, quantize the values.
         try:
             return ConditionalDistribution.from_probs(ids, probs)
         except QuantizationError as exc:
