@@ -22,7 +22,7 @@ import numpy as np
 from .adg import ADGCodec
 from .bitio import BitMessage, index_to_bits, next_index
 from .errors import ConfigError, DesyncError, StegoError
-from .lm import ConditionalDistribution, sample_token
+from .lm import ConditionalDistribution, require_distinct, sample_token
 from .metrics import kl_divergence_bits
 from .runner import Codec
 
@@ -97,7 +97,11 @@ def _build_huffman(dist: ConditionalDistribution, k: int):
     if hit is not None:
         return hit
     top = 1 << k
-    heap = [(mass, token, token) for mass, token in zip(dist.masses[:top].tolist(), dist.token_ids[:top].tolist())]
+    tokens = dist.token_ids[:top].tolist()
+    # Checked before the merges: a repeated id can tie a leaf with a subtree on (mass, lowest id).
+    if len(set(tokens)) < len(tokens):
+        require_distinct(dist.token_ids[:top])
+    heap = [(mass, token, token) for mass, token in zip(dist.masses[:top].tolist(), tokens)]
     heapq.heapify(heap)  # pops follow (mass, lowest id), whatever the layout
     while len(heap) > 1:
         mass_a, min_a, left = heapq.heappop(heap)
@@ -253,6 +257,8 @@ class ArithmeticCodec(Codec):
         if hit is None:
             cum = np.cumsum(dist.masses[: self.h]).tolist()
             positions = dict(zip(dist.token_ids[: self.h].tolist(), range(len(cum))))
+            if len(positions) < len(cum):
+                require_distinct(dist.token_ids[: self.h])
             hit = (cum, cum[-1], positions)
             dist.cache[key] = hit
         return hit

@@ -49,6 +49,7 @@ from .corpus import BOS_ID, Vocabulary
 from .errors import ConfigError, EmptyCorpusError, ModelMismatchError, ProviderError, QuantizationError
 
 DENOMINATOR = 1 << 31
+INT64_MAX = (1 << 63) - 1
 SUM_TOLERANCE = 1e-6
 MODEL_FORMAT_VERSION = 1
 
@@ -112,7 +113,8 @@ def _hand_out(out: np.ndarray, keys: np.ndarray, deficit: int) -> np.ndarray:
 class ConditionalDistribution:
     """Integer-mass next-token distribution, sorted by mass desc, ties by id asc.
 
-    Ids and masses are integers, every mass at least 1; ``denominator`` is their sum.
+    Ids and masses are integers, every mass at least 1; ``denominator`` is
+    their sum, which must fit in int64.
     The order comes from one stable argsort of the negated masses, which
     keeps equal masses in input order and is close to linear on the nearly
     sorted masses providers hand over.  One vectorised comparison checks
@@ -142,6 +144,9 @@ class ConditionalDistribution:
         if np.any((m[1:] == m[:-1]) & (ids[1:] < ids[:-1])):
             order = np.lexsort((token_ids, -masses))
             ids, m = token_ids[order], masses[order]
+        # The int64 sum wraps past INT64_MAX; only a largest mass above this bound can get there.
+        if m.item(0) > INT64_MAX // m.size and sum(m.tolist()) > INT64_MAX:
+            raise QuantizationError(f"masses sum to {sum(m.tolist())}, past the int64 limit {INT64_MAX}")
         self._adopt(ids, m, int(m.sum()))
 
     def _adopt(self, token_ids: np.ndarray, masses: np.ndarray, denominator: int) -> None:
@@ -170,16 +175,23 @@ class ConditionalDistribution:
         """Position of ``token_id``, or None when it has no mass.
 
         A cold distribution is asked once, so the first lookup scans the
-        ids; the map is built from the second lookup on.
+        ids; the map is built from the second lookup on.  The constructor
+        does not look for a repeated id, so these checks raise
+        ``QuantizationError``: the scan when it finds the id twice, the map
+        when it comes out shorter than the ids.
         """
         positions = self._positions
         if positions is None:
             self._positions = False
             hits = np.flatnonzero(self.token_ids == int(token_id))
-            # A repeated id answers with its last position, as the map does.
-            return int(hits[-1]) if hits.size else None
+            if hits.size > 1:
+                require_distinct(self.token_ids[hits])
+            return int(hits[0]) if hits.size else None
         if positions is False:
-            positions = self._positions = dict(zip(self.token_ids.tolist(), range(len(self))))
+            positions = dict(zip(self.token_ids.tolist(), range(len(self))))
+            if len(positions) < len(self):
+                require_distinct(self.token_ids)
+            self._positions = positions
         return positions.get(int(token_id))
 
     def probs(self) -> np.ndarray:
@@ -189,9 +201,16 @@ class ConditionalDistribution:
     def from_probs(cls, token_ids: Sequence[int], probs: Sequence[float]) -> "ConditionalDistribution":
         """Quantize ``probs`` to masses summing to ``2**31``; ids must be distinct integers."""
         dist = cls(token_ids, quantize(probs))
-        if np.unique(dist.token_ids).size != len(dist):
-            raise QuantizationError("duplicate token ids in distribution")
+        require_distinct(dist.token_ids)
         return dist
+
+
+def require_distinct(ids: np.ndarray) -> None:
+    """Raise ``QuantizationError`` naming the smallest id that ``ids`` lists twice; one sort and an adjacent compare."""
+    ids = np.sort(ids)
+    twice = ids[1:][ids[1:] == ids[:-1]]
+    if twice.size:
+        raise QuantizationError(f"token id {int(twice[0])} is listed twice in the distribution")
 
 
 def sample_token(rng: random.Random, token_ids: np.ndarray, cumsum: np.ndarray, total: int) -> int:
@@ -364,8 +383,10 @@ class NGramLM:
                     if np.any((named < 0) | (named >= vocab_size)):
                         raise ModelMismatchError(
                             f"model file {path} context {key!r} holds a token id outside [0, {vocab_size})")
-                    if np.unique(arr_ids).size != arr_ids.size:
-                        raise ModelMismatchError(f"model file {path} context {key!r} lists a successor id twice")
+                    try:
+                        require_distinct(arr_ids)
+                    except QuantizationError as exc:
+                        raise ModelMismatchError(f"model file {path} context {key!r} successors: {exc}") from exc
                     if arr_ids.shape != arr_counts.shape:
                         raise ModelMismatchError(
                             f"model file {path} context {key!r} holds {arr_ids.size} ids but {arr_counts.size} counts")

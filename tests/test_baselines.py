@@ -19,7 +19,7 @@ from adgstego.baselines import (
     make_codec,
 )
 from adgstego.bitio import bytes_to_bits, deframe
-from adgstego.errors import ConfigError, DesyncError, StegoError
+from adgstego.errors import ConfigError, DesyncError, QuantizationError, StegoError
 from adgstego.lm import ConditionalDistribution
 from adgstego.runner import GenerationConfig, embed_text, extract_text
 
@@ -316,3 +316,16 @@ def test_make_codec_dispatch():
                                     ("huffman", {"k": 5, "h": 3}, "h")]:
         with pytest.raises(ConfigError, match=f"not {unknown}$"):
             make_codec(method, 100, **params)
+
+
+def test_huffman_and_arithmetic_tables_reject_a_repeated_id():
+    # Id 5 twice: its two leaves once tied a merged subtree on (mass, lowest id), a bare TypeError.
+    dist = ConditionalDistribution([5, 5, 7], [2, 1, 1])
+    with pytest.raises(QuantizationError, match="token id 5 is listed twice"):
+        _build_huffman(dist, 2)
+    with pytest.raises(QuantizationError, match="token id 5 is listed twice"):
+        ArithmeticCodec(h=300).extract_step(dist, 7)
+    # Only the top set counts: a repeat below it builds the same tables as without it.
+    dist = ConditionalDistribution([1, 2, 3, 4, 4], [9, 8, 7, 6, 5])
+    assert sorted(_build_huffman(dist, 1)[1]) == [1, 2]
+    assert ArithmeticCodec(h=3).extract_step(dist, 3) is not None

@@ -23,6 +23,7 @@ from adgstego.lm import (
     ExternalProvider,
     NGramLM,
     quantize,
+    require_distinct,
     sample_token,
     train_ngram,
 )
@@ -135,6 +136,26 @@ def test_distribution_rejects_zero_mass():
 def test_distribution_from_probs_rejects_duplicates():
     with pytest.raises(QuantizationError):
         ConditionalDistribution.from_probs([1, 1], [0.5, 0.5])
+
+
+def test_a_repeated_id_is_named_by_its_smallest_value():
+    with pytest.raises(QuantizationError, match="token id 4 is listed twice"):
+        require_distinct(np.asarray([9, 4, 7, 9, 4, 4]))
+    require_distinct(np.asarray([9, 4, 7]))
+    require_distinct(np.asarray([], dtype=np.int64))
+    with pytest.raises(QuantizationError, match="token id 9 is listed twice"):
+        ConditionalDistribution.from_probs([9, 4, 9], [0.25, 0.5, 0.25])
+
+
+def test_distribution_total_past_int64_raises():
+    # The int64 sum once wrapped to a negative denominator (-8613035139737531860 for these 40 masses).
+    masses = [random.Random(seed).randrange(2**58, 2**60) for seed in range(40)]
+    with pytest.raises(QuantizationError, match="int64"):
+        ConditionalDistribution(list(range(40)), masses)
+    with pytest.raises(QuantizationError, match="int64"):
+        ConditionalDistribution([1, 2], [2**62, 2**62])
+    assert ConditionalDistribution([1, 2], [2**62, 2**62 - 1]).denominator == 2**63 - 1
+    assert ConditionalDistribution([1, 2, 3], [2**62, 5, 1]).denominator == 2**62 + 6
 
 
 def test_distribution_from_probs_rejects_a_scalar_probability():

@@ -2,7 +2,8 @@
 
 ``quantize``, the canonical order of ``ConditionalDistribution``, its
 ``position_of`` and ``runner.mask_eos_min`` must match
-``tests/oracle_lm.py`` byte for byte.
+``tests/oracle_lm.py`` byte for byte, except that a lookup meeting a
+repeated id raises ``QuantizationError`` where the oracle answers.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adgstego.corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID
+from adgstego.errors import QuantizationError
 from adgstego.lm import ConditionalDistribution, quantize
 from adgstego.runner import mask_eos_min
 
@@ -107,8 +109,24 @@ def test_build_large_denominators(dist):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 3)), min_size=2, max_size=60))
 def test_build_repeated_ids(entries):
-    # The constructor does not reject a repeated id; its lookups answer the last position.
-    assert_same_build([t for t, _m in entries], [m for _t, m in entries])
+    # The constructor puts a repeated id in canonical order like any other; a lookup that meets one raises.
+    ids, masses = [t for t, _m in entries], [m for _t, m in entries]
+    want = oracle_lm.OracleDistribution.from_masses(ids, masses)
+    assert_same_order(ConditionalDistribution(ids, masses), want)
+    repeated = sorted(t for t in set(ids) if ids.count(t) > 1)
+    if not repeated:
+        assert_same_build(ids, masses)
+    for token in [*ids, 31] if repeated else []:
+        dist = ConditionalDistribution(ids, masses)
+        # The first lookup scans the ids, so only the repeated id itself raises.
+        if token in repeated:
+            with pytest.raises(QuantizationError, match=f"token id {token} is listed twice"):
+                dist.position_of(token)
+        else:
+            assert dist.position_of(token) == want.position_of(token)
+        # The second builds the map, which comes out short, and names the smallest repeated id.
+        with pytest.raises(QuantizationError, match=f"token id {repeated[0]} is listed twice"):
+            dist.position_of(token)
 
 
 @settings(max_examples=200, deadline=None)

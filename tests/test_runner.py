@@ -297,3 +297,35 @@ def test_step_q_positions_and_step_stats(model, method, params, source):
         assert probs.tolist() == [2.0 ** -len(codec.extract_step(dist, t)) for t in ids]
     expected = reference_step_stats(dist, dict(zip(ids, probs.tolist())))
     assert _step_stats(dist, positions, probs) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+class RepeatedIdProvider:
+    """40 entries over a 64-id vocabulary per context, with one id listed twice, as a custom provider could."""
+
+    vocab_size = 64
+
+    def next_distribution(self, context):
+        rng = random.Random(repr(tuple(context)))
+        ids = [EOS_ID, *rng.sample(range(EOS_ID + 1, self.vocab_size), 39)]
+        twice, spare = rng.sample(range(len(ids)), 2)
+        ids[spare] = ids[twice]
+        return ConditionalDistribution(ids, [rng.randint(1, 1000) for _ in ids])
+
+
+ROUND_TRIP_CODECS = {**FUZZ_CODECS, "bins": {"b": 2}, "huffman": {"k": 3}}
+
+
+@pytest.mark.parametrize("method", sorted(ROUND_TRIP_CODECS))
+def test_a_repeated_id_never_returns_a_wrong_payload(method):
+    provider = RepeatedIdProvider()
+    payload = b"\x5a\xc3\x0f\x81"
+    for seed in range(30):
+        cfg = GenerationConfig(sample_seed=seed, pad_seed=seed + 1000)
+        codec = make_codec(method, provider.vocab_size, **ROUND_TRIP_CODECS[method])
+        try:
+            sentences, _trace = embed_text(codec, frame(payload), provider, cfg)
+            codec = make_codec(method, provider.vocab_size, **ROUND_TRIP_CODECS[method])
+            bits = deframe(extract_text(codec, sentences, provider, cfg))
+        except StegoError:
+            continue
+        assert bits == bytes_to_bits(payload), (method, seed)
