@@ -284,13 +284,14 @@ class NGramLM:
         With ``k = a / b`` exactly, an id's share is ``D * num / den`` for
         ``num = b * count + a`` and ``den = b * total + a * V``: its floor,
         plus one of the leftover units for the largest remainders, lower id
-        first on ties, as :func:`_hand_out` gives them.  Ids of one count share their
-        floor and remainder, so the arithmetic runs once per level: once per
-        distinct count of the seen ids, and once for the unseen ids, whose
-        count is 0.  A level's units go to its lowest ids.  The result is laid
-        out in canonical order directly, level by level in count order with
-        ids ascending in each, which holds while no two levels tie on a
-        remainder and every level's masses lie below the ones before it.
+        first on ties, as :func:`_hand_out` gives them.  Ids of one count
+        share their floor and remainder, so the arithmetic runs once per
+        level: once per distinct count of the seen ids, and once for the
+        unseen ids, whose count is 0.  A level's units go to its lowest ids.
+        The result is laid out in canonical order directly, level by level in
+        count order with ids ascending in each, which holds while no two
+        levels tie on a remainder and every level's masses lie below the ones
+        before it.
         Otherwise, or when a mass floors at zero, :func:`_hand_out` runs over
         the whole vocabulary by id, and the result is sorted.
         """

@@ -116,7 +116,8 @@ def test_build_repeated_ids(entries):
     repeated = sorted(t for t in set(ids) if ids.count(t) > 1)
     if not repeated:
         assert_same_build(ids, masses)
-    for token in [*ids, 31] if repeated else []:
+        return
+    for token in [*ids, 31]:
         dist = ConditionalDistribution(ids, masses)
         # The first lookup scans the ids, so only the repeated id itself raises.
         if token in repeated:
