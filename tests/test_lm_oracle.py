@@ -8,7 +8,7 @@ repeated id raises ``QuantizationError`` where the oracle answers.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adgstego.corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID
@@ -32,6 +32,12 @@ def assert_same_order(got, want):
     assert got.denominator == want.denominator
 
 
+def assert_same_masking(got, want):
+    masked, want_masked = mask_eos_min(got), oracle_lm.mask_eos_min(want)
+    assert_same_order(masked, want_masked)
+    assert (masked is got) == (want_masked is want)
+
+
 def assert_same_build(token_ids, masses):
     """Canonical order, EOS masking and both kinds of ``position_of`` lookup agree with the oracle."""
     ids = np.asarray(token_ids, dtype=np.int64)
@@ -39,9 +45,7 @@ def assert_same_build(token_ids, masses):
     got = ConditionalDistribution(ids, m)
     want = oracle_lm.OracleDistribution(ids, m, int(m.sum()))
     assert_same_order(got, want)
-    masked, want_masked = mask_eos_min(got), oracle_lm.mask_eos_min(want)
-    assert_same_order(masked, want_masked)
-    assert (masked is got) == (want_masked is want)
+    assert_same_masking(got, want)
     absent = int(ids.max()) + 1 if ids.size else 0
     for token in [*ids[:3].tolist(), absent, *ids.tolist()]:
         assert got.position_of(token) == want.position_of(token)
@@ -108,6 +112,8 @@ def test_build_large_denominators(dist):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 3)), min_size=2, max_size=60))
+@example([(EOS_ID, 3), (5, 1), (5, 2)])
+@example([(EOS_ID, 2), (5, 1), (EOS_ID, 1)])
 def test_build_repeated_ids(entries):
     # The constructor puts a repeated id in canonical order like any other; a lookup that meets one raises.
     ids, masses = [t for t, _m in entries], [m for _t, m in entries]
@@ -117,6 +123,12 @@ def test_build_repeated_ids(entries):
     if not repeated:
         assert_same_build(ids, masses)
         return
+    # EOS masking looks up EOS alone, so it agrees with the oracle unless EOS itself is repeated.
+    if EOS_ID in repeated:
+        with pytest.raises(QuantizationError, match=f"token id {EOS_ID} is listed twice"):
+            mask_eos_min(ConditionalDistribution(ids, masses))
+    else:
+        assert_same_masking(ConditionalDistribution(ids, masses), want)
     for token in [*ids, 31]:
         dist = ConditionalDistribution(ids, masses)
         # The first lookup scans the ids, so only the repeated id itself raises.
