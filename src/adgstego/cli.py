@@ -43,7 +43,6 @@ DEFAULT_CONFIG: Dict = {
         "min_len": 5,
         "max_len": 200,
         "max_tokens": 1_000_000,
-        "max_sentences": 100_000,
     },
     "seeds": {
         "split": 0,
@@ -130,7 +129,7 @@ def _generation_config(cfg: Dict) -> runner.GenerationConfig:
     codec, seeds = cfg["codec"], cfg["seeds"]
     return runner.GenerationConfig(
         min_len=codec["min_len"], max_len=codec["max_len"], max_tokens=codec["max_tokens"],
-        max_sentences=codec["max_sentences"], sample_seed=seeds["sample"], pad_seed=seeds["pad"],
+        sample_seed=seeds["sample"], pad_seed=seeds["pad"],
     )
 
 

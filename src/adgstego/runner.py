@@ -176,7 +176,6 @@ class GenerationConfig:
     min_len: int = 5
     max_len: int = 200
     max_tokens: int = 1_000_000
-    max_sentences: int = 100_000
     sample_seed: int = 0
     pad_seed: int = 1
     collect_stats: bool = False
@@ -232,8 +231,8 @@ def embed_text(
     """Generate stegotext sentences until the frame is delivered.
 
     Returns sentences as lists of content token ids (BOS/EOS implicit) and
-    the per-step trace.  Raises :class:`CapacityError` when the token or
-    sentence budget runs out first.
+    the per-step trace.  Raises :class:`CapacityError` when ``max_tokens``
+    steps, forced EOS included, pass before the message is delivered.
     """
     if not isinstance(provider, CachedProvider):
         provider = CachedProvider(provider)
@@ -250,19 +249,15 @@ def embed_text(
     stats_key = ("stats", codec.name, tuple(sorted(codec.params.items())))
     sentences: List[List[int]] = []
     while True:
-        if len(sentences) >= cfg.max_sentences:
-            raise CapacityError(
-                f"message not delivered within {cfg.max_sentences} sentences"
-            )
         context = [BOS_ID]
-        content: List[int] = []
         while True:
             if len(trace.steps) >= cfg.max_tokens and not codec.delivered(msg):
                 raise CapacityError(f"message not delivered within {cfg.max_tokens} tokens")
-            if len(content) >= cfg.max_len:
+            # context holds BOS and the sentence's content tokens so far.
+            if len(context) > cfg.max_len:
                 token, record = EOS_ID, StepRecord(token=EOS_ID, bits=0.0, forced=True)
             else:
-                dist = provider.get(tuple(context), mask_eos=len(content) < cfg.min_len)
+                dist = provider.get(tuple(context), mask_eos=len(context) <= cfg.min_len)
                 token, bits, detail = codec.embed_step(dist, msg, sample_rng, pad_rng)
                 record = StepRecord(token=token, bits=float(bits), group_sizes=detail)
                 if cfg.collect_stats:
@@ -274,9 +269,8 @@ def embed_text(
             trace.steps.append(record)
             if token == EOS_ID:
                 break
-            content.append(token)
             context.append(token)
-        sentences.append(content)
+        sentences.append(context[1:])
         if codec.delivered(msg):
             return sentences, trace
 

@@ -175,7 +175,7 @@ def test_patient_huffman_round_trip(provider):
 def test_patient_huffman_delta_zero_cannot_deliver(provider):
     from adgstego.errors import CapacityError
 
-    cfg = GenerationConfig(sample_seed=1, pad_seed=2, max_sentences=5)
+    cfg = GenerationConfig(sample_seed=1, pad_seed=2, max_tokens=100)
     with pytest.raises(CapacityError):
         embed_text(PatientHuffmanCodec(3, 0.0), frame(b"x"), provider, cfg)
 

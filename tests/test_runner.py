@@ -79,12 +79,6 @@ def test_capacity_error_on_token_budget(provider):
         embed_text(ADGCodec(), frame(b"far too much payload for three tokens"), provider, cfg)
 
 
-def test_capacity_error_on_sentence_budget(provider):
-    cfg = GenerationConfig(sample_seed=0, pad_seed=1, max_sentences=0)
-    with pytest.raises(CapacityError):
-        embed_text(ADGCodec(), frame(b"x"), provider, cfg)
-
-
 def test_cached_provider_returns_identical_objects(model):
     provider = CachedProvider(model)
     a = provider.get((BOS_ID,), False)
