@@ -61,7 +61,11 @@ class BinsCodec(Codec):
             # dist is mass-desc sorted, so each bin's lowest position wins:
             # one scatter of every position, not a sort of the support.
             table = np.full(self.nbins, n, dtype=np.int64)
-            np.minimum.at(table, self.token_to_bin[dist.token_ids], np.arange(n))
+            try:
+                bins = self.token_to_bin[dist.token_ids]
+            except IndexError as exc:
+                raise DesyncError(f"a distribution id is outside the {self.token_to_bin.size}-id vocabulary") from exc
+            np.minimum.at(table, bins, np.arange(n))
             table[table == n] = -1
             dist.cache[key] = table
         return table

@@ -62,7 +62,7 @@ def quantize(probs: Sequence[float]) -> np.ndarray:
     """
     try:
         arr = np.asarray(probs, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # ragged nesting, or entries that are not numbers
+    except (OverflowError, TypeError, ValueError) as exc:  # ragged nesting, non-numbers, ints past float range
         raise QuantizationError(f"probabilities are not a vector of numbers: {exc}") from exc
     if arr.ndim != 1 or arr.size == 0:
         raise QuantizationError("expected a nonempty 1-d probability vector")
@@ -135,8 +135,10 @@ class ConditionalDistribution:
         # An empty list reads as float64, so the size is checked before the dtype.
         if token_ids.shape != masses.shape or not masses.size or {token_ids.dtype.kind, masses.dtype.kind} - {"i", "u"}:
             raise QuantizationError("a distribution needs one integer id per integer mass and at least one entry")
-        # A uint mass past int64 wraps negative here, so the mass check rejects it.
+        # A uint id or mass past int64 wraps negative here, so the checks below reject it.
         token_ids, masses = token_ids.astype(np.int64, copy=False), masses.astype(np.int64, copy=False)
+        if int(token_ids.min()) < 0:
+            raise QuantizationError("a distribution needs token ids >= 0")
         if int(masses.min()) < 1:
             raise QuantizationError("a distribution needs masses >= 1")
         order = np.argsort(-masses, kind="stable")
@@ -537,12 +539,10 @@ class ExternalProvider:
             ids, probs = np.asarray(ids), np.asarray(probs)  # ragged nesting raises ValueError
         except (KeyError, TypeError, ValueError) as exc:
             raise ProviderError(f"malformed provider reply: {line!r}") from exc
-        # A float, string or too-large id gives numpy a non-integer dtype.
-        if ids.dtype.kind != "i" or np.any(ids < 0):
-            raise ProviderError("provider reply ids must be nonnegative integers")
+        # quantize would read the strings "0.5" as numbers.
         if probs.dtype.kind not in "if":
             raise ProviderError("provider reply probabilities must be numbers")
-        # The constructor checks the shapes, from_probs the repeated ids, quantize the values.
+        # The constructor checks the shapes and ids, from_probs the repeated ids, quantize the values.
         try:
             return ConditionalDistribution.from_probs(ids, probs)
         except QuantizationError as exc:

@@ -180,6 +180,13 @@ class GenerationConfig:
     pad_seed: int = 1
     collect_stats: bool = False
 
+    def __post_init__(self):
+        # At max_len 0 every sentence is a lone forced EOS until max_tokens runs
+        # out; at min_len 0 a sentence may be empty, a blank line the corpus reader drops.
+        for name in ("min_len", "max_len"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 class Codec:
     """Base class of the codecs driven by :func:`embed_text` and :func:`extract_text`.

@@ -94,6 +94,16 @@ def test_bins_table_is_each_bins_first_position(b, seed, data):
     assert codec._bin_argmax(dist).tolist() == expected
 
 
+def test_bins_id_outside_the_vocabulary_is_a_desync():
+    class PastTheVocabulary:
+        def next_distribution(self, context):
+            return ConditionalDistribution([150, 3], [60, 40])
+
+    # The table lookup once raised a bare IndexError.
+    with pytest.raises(DesyncError, match="100-id vocabulary"):
+        embed_text(BinsCodec(2, 0, 100), frame(b"x"), PastTheVocabulary(), GenerationConfig())
+
+
 def test_bins_vocab_too_small():
     with pytest.raises(StegoError):
         BinsCodec(5, 0, 16)

@@ -67,6 +67,8 @@ def test_config_rejects_unknown_key():
         load_config(None, ["lm.nope=1"])
     with pytest.raises(ConfigError):
         load_config(None, ["malformed"])
+    with pytest.raises(ConfigError, match="unknown config key: codec.max_sentences"):
+        load_config(None, ["codec.max_sentences=5"])
 
 
 def test_embed_extract_round_trip(workdir, capsys):
@@ -372,6 +374,8 @@ def _vocab_without_reserved_ids_argv(workdir, tmp_path):
         lambda w, t: ["--set", "codec.method=nope"] + _embed_argv(w, t),
         lambda w, t: ["--set", "codec.method=bins", "--set", "codec.b=0"] + _embed_argv(w, t),
         lambda w, t: ["--set", "codec.min_len=abc"] + _embed_argv(w, t),
+        lambda w, t: ["--set", "codec.min_len=0"] + _embed_argv(w, t),
+        lambda w, t: ["--set", "codec.max_len=0"] + _embed_argv(w, t),
         _vocab_without_reserved_ids_argv,
         lambda w, t: ["--set", "lm.order=abc"] + _train_argv(w, t),
         lambda w, t: ["--set", "lm.order=1"] + _train_argv(w, t),
@@ -413,7 +417,8 @@ def _vocab_without_reserved_ids_argv(workdir, tmp_path):
         _not_utf8_argv(lambda w, t: _preprocess_argv(t), "--in"),
         _not_utf8_argv(lambda w, t: ["--config", "", "toy-corpus"], "--config"),
     ],
-    ids=["ragged-frame", "unknown-method", "bins-b-zero", "min-len-not-int", "vocab-without-reserved-ids",
+    ids=["ragged-frame", "unknown-method", "bins-b-zero", "min-len-not-int", "min-len-zero", "max-len-zero",
+         "vocab-without-reserved-ids",
          "lm-order-not-int", "lm-order-one", "lm-k-zero", "lm-k-nan", "split-ratio-above-one",
          "metrics-acc-above-one", "model-not-json", "model-without-fields", "set-value-not-yaml",
          "payload-is-a-directory", "bench-method-not-mapping", "bench-methods-not-list",

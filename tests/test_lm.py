@@ -128,6 +128,15 @@ def test_distribution_rejects_empty_or_mismatched():
             ConditionalDistribution.from_probs(ids, [0.5, 0.5])
 
 
+def test_distribution_rejects_a_negative_id():
+    # adg once emitted -3 as a stego token, and bins read it as id vocab_size - 3.
+    for ids in ([-1, 2], [2, -3], np.asarray([2**63, 2], dtype=np.uint64)):
+        with pytest.raises(QuantizationError, match="ids >= 0"):
+            ConditionalDistribution(ids, [3, 4])
+    with pytest.raises(QuantizationError, match="ids >= 0"):
+        ConditionalDistribution.from_probs([2, -3], [0.5, 0.5])
+
+
 def test_distribution_rejects_zero_mass():
     with pytest.raises(QuantizationError):
         ConditionalDistribution(np.asarray([0, 1]), np.asarray([5, 0]))
@@ -168,7 +177,9 @@ def test_distribution_from_probs_rejects_a_scalar_probability():
     lambda: quantize([[0.5], [0.5, 0.1]]),
     lambda: ConditionalDistribution.from_probs([1, 2], [[0.5], [0.5, 0.1]]),
     lambda: ConditionalDistribution.from_probs([1, 2], ["a", "b"]),
-], ids=["ragged", "from-probs-ragged", "from-probs-strings"])
+    lambda: quantize([10**400, 0.5]),
+    lambda: ConditionalDistribution.from_probs([1, 2], [10**400, 0.5]),
+], ids=["ragged", "from-probs-ragged", "from-probs-strings", "past-float-range", "from-probs-past-float-range"])
 def test_unreadable_probabilities_raise_quantization_error(call):
     # numpy's conversion error was once raised bare.
     with pytest.raises(QuantizationError):
@@ -571,6 +582,7 @@ def test_external_provider_command_read_deadline(partial):
         '{"ids": [-1, 7], "probs": [0.5, 0.5]}',
         '{"ids": [1, 2], "probs": [null, 0.5]}',
         '{"ids": [99999999999999999999999, 2], "probs": [0.5, 0.5]}',
+        '{"ids": [9223372036854775808], "probs": [1.0]}',
         '{"ids": [true, 2], "probs": [0.5, 0.5]}',
         '{"ids": [1, 2], "probs": [true, 0.0]}',
         '{"ids": [1, 2], "probs": [NaN, 0.5]}',
@@ -584,7 +596,7 @@ def test_external_provider_command_read_deadline(partial):
         '{"ids": [1, 2], "probs": [0.5, 0.6]}',
     ],
     ids=["float-id", "string-ids", "nested-ids", "ragged-ids", "string-prob", "scalar-ids", "negative-id",
-         "null-prob", "huge-id", "bool-id", "bool-prob", "nan-prob", "infinite-prob", "negative-prob",
+         "null-prob", "huge-id", "uint64-id", "bool-id", "bool-prob", "nan-prob", "infinite-prob", "negative-prob",
          "more-ids-than-probs", "nested-probs", "2d-ids-and-probs", "empty", "duplicate-ids", "sum-1.1"],
 )
 def test_external_provider_rejects_bad_reply_values(reply):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from adgstego import ADGCodec, BitMessage, CachedProvider, deframe, frame, make_codec
 from adgstego.bitio import HEADER_BITS, bytes_to_bits
 from adgstego.corpus import BOS_ID, EOS_ID
-from adgstego.errors import CapacityError, DesyncError, ProviderError, StegoError
+from adgstego.errors import CapacityError, ConfigError, DesyncError, ProviderError, StegoError
 from adgstego.lm import ConditionalDistribution, ExternalProvider
 from adgstego.runner import (
     EmbedTrace,
@@ -77,6 +77,16 @@ def test_capacity_error_on_token_budget(provider):
     cfg = GenerationConfig(sample_seed=0, pad_seed=1, max_tokens=3)
     with pytest.raises(CapacityError):
         embed_text(ADGCodec(), frame(b"far too much payload for three tokens"), provider, cfg)
+
+
+@pytest.mark.parametrize("setting", [{"min_len": 0}, {"max_len": 0}, {"min_len": -3}],
+                         ids=["min-len-zero", "max-len-zero", "min-len-negative"])
+def test_lengths_below_one_are_rejected(setting):
+    # max_len 0 once ran a million forced EOS steps before max_tokens stopped it;
+    # min_len 0 let a sentence end empty, a blank line the corpus reader drops.
+    with pytest.raises(ConfigError, match=next(iter(setting))):
+        GenerationConfig(**setting)
+    GenerationConfig(min_len=1, max_len=1)
 
 
 def test_cached_provider_returns_identical_objects(model):
