@@ -67,8 +67,6 @@ def test_config_rejects_unknown_key():
         load_config(None, ["lm.nope=1"])
     with pytest.raises(ConfigError):
         load_config(None, ["malformed"])
-    with pytest.raises(ConfigError, match="unknown config key: codec.max_sentences"):
-        load_config(None, ["codec.max_sentences=5"])
 
 
 def test_embed_extract_round_trip(workdir, capsys):

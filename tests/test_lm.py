@@ -129,7 +129,7 @@ def test_distribution_rejects_empty_or_mismatched():
 
 
 def test_distribution_rejects_a_negative_id():
-    # adg once emitted -3 as a stego token, and bins read it as id vocab_size - 3.
+    # adg once emitted -3 as a stego token; bins would have put it in the bin of id vocab_size - 3.
     for ids in ([-1, 2], [2, -3], np.asarray([2**63, 2], dtype=np.uint64)):
         with pytest.raises(QuantizationError, match="ids >= 0"):
             ConditionalDistribution(ids, [3, 4])

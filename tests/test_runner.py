@@ -82,7 +82,7 @@ def test_capacity_error_on_token_budget(provider):
 @pytest.mark.parametrize("setting", [{"min_len": 0}, {"max_len": 0}, {"min_len": -3}],
                          ids=["min-len-zero", "max-len-zero", "min-len-negative"])
 def test_lengths_below_one_are_rejected(setting):
-    # max_len 0 once ran a million forced EOS steps before max_tokens stopped it;
+    # max_len 0 made every sentence a lone forced EOS, which only a budget stopped;
     # min_len 0 let a sentence end empty, a blank line the corpus reader drops.
     with pytest.raises(ConfigError, match=next(iter(setting))):
         GenerationConfig(**setting)
