@@ -17,11 +17,11 @@ Every step of building a distribution is linear or near-linear, because a
 neural-style provider hands over a fresh one per token.  ``_hand_out``
 finds the largest remainders by selection (``np.partition``), not by a
 sort.  ``ConditionalDistribution`` puts its entries in canonical order
-(mass desc, id asc) with one stable argsort, which is adaptive on the
-nearly sorted input providers give; the two-key sort runs only when a run
-of equal masses comes out of id order.  The n-gram model works once per
-level, a level being the ids of one count under the context (the unseen
-ids form one), and lays its result out in canonical order itself.
+(mass desc, id asc) with one stable, adaptive argsort of the int64 key
+``(-mass << 32) | id``; only masses past ``2**31`` or ids from ``2**32``
+on take a two-key sort.  The n-gram model works once per level, a level
+being the ids of one count under the context (the unseen ids form one),
+and lays its result out in canonical order itself.
 
 Two sources are provided: a trainable add-k / backoff n-gram model, and a
 client for an external provider speaking newline-delimited JSON
@@ -115,11 +115,11 @@ class ConditionalDistribution:
 
     Ids and masses are integers, every mass at least 1; ``denominator`` is
     their sum, which must fit in int64.
-    The order comes from one stable argsort of the negated masses, which
-    keeps equal masses in input order and is close to linear on the nearly
-    sorted masses providers hand over.  One vectorised comparison checks
-    that every run of equal masses came out in id order; only when one did
-    not does the two-key sort run.
+    The order comes from one stable argsort of the int64 key
+    ``(-mass << 32) | id``, close to linear on the nearly sorted input
+    providers hand over.  The key fits whenever every mass is at most
+    ``2**31`` and every id below ``2**32``, as with every distribution this
+    package builds; wider values take a two-key ``np.lexsort``.
 
     ``cache`` is scratch space for codec-level derived structures (grouping
     trees, Huffman trees); it never leaves the process.
@@ -141,11 +141,11 @@ class ConditionalDistribution:
             raise QuantizationError("a distribution needs token ids >= 0")
         if int(masses.min()) < 1:
             raise QuantizationError("a distribution needs masses >= 1")
-        order = np.argsort(-masses, kind="stable")
-        ids, m = token_ids[order], masses[order]
-        if np.any((m[1:] == m[:-1]) & (ids[1:] < ids[:-1])):
+        if int(masses.max()) <= 1 << 31 and int(token_ids.max()) < 1 << 32:
+            order = np.argsort((-masses << 32) | token_ids, kind="stable")  # -(2**31) << 32 is -2**63
+        else:  # the key would not fit in int64
             order = np.lexsort((token_ids, -masses))
-            ids, m = token_ids[order], masses[order]
+        ids, m = token_ids[order], masses[order]
         # The int64 sum wraps past INT64_MAX; only a largest mass above this bound can get there.
         if m.item(0) > INT64_MAX // m.size and sum(m.tolist()) > INT64_MAX:
             raise QuantizationError(f"masses sum to {sum(m.tolist())}, past the int64 limit {INT64_MAX}")
