@@ -133,8 +133,9 @@ class ConditionalDistribution:
         except ValueError as exc:  # ragged nesting
             raise QuantizationError(f"ids and masses are not vectors: {exc}") from exc
         # An empty list reads as float64, so the size is checked before the dtype.
-        if token_ids.shape != masses.shape or not masses.size or {token_ids.dtype.kind, masses.dtype.kind} - {"i", "u"}:
-            raise QuantizationError("a distribution needs one integer id per integer mass and at least one entry")
+        if (token_ids.shape != masses.shape or masses.ndim != 1 or not masses.size
+                or {token_ids.dtype.kind, masses.dtype.kind} - {"i", "u"}):
+            raise QuantizationError("a distribution needs a nonempty 1-d vector of integer ids, one per integer mass")
         # A uint id or mass past int64 wraps negative here, so the checks below reject it.
         token_ids, masses = token_ids.astype(np.int64, copy=False), masses.astype(np.int64, copy=False)
         if int(token_ids.min()) < 0:

@@ -283,7 +283,17 @@ def embed_text(
 
 
 def extract_text(codec: Codec, sentences: Sequence[Sequence[int]], provider, cfg: GenerationConfig) -> List[int]:
-    """Recover the raw bitstream from stegotext sentences (frame included)."""
+    """Recover the raw bitstream from stegotext sentences (frame included).
+
+    Raises :class:`DesyncError` before any model call when the sentences
+    hold more steps, EOS included, than embedding can write: ``max_tokens``
+    and the rest of the sentence in which the message was delivered, at
+    most ``max_len`` more.
+    """
+    steps = sum(len(s) + 1 for s in sentences)
+    if steps > cfg.max_tokens + cfg.max_len:
+        raise DesyncError(f"the sentences hold {steps} steps, EOS included, more than the max_tokens + max_len = "
+                          f"{cfg.max_tokens} + {cfg.max_len} that embedding can write")
     if not isinstance(provider, CachedProvider):
         provider = CachedProvider(provider)
     codec.begin_extract()
