@@ -123,6 +123,10 @@ def test_distribution_rejects_empty_or_mismatched():
                         ([0, 1], [3, "4"]), ([0.5, 1.7], [3, 4]), ([0], np.asarray([2**63 + 5], dtype=np.uint64))]:
         with pytest.raises(QuantizationError):
             ConditionalDistribution(ids, masses)
+    # Scalars and 2-d arrays once raised a bare IndexError.
+    for ids, masses in [(5, 7), (np.int64(5), np.int64(7)), ([[1, 2]], [[3, 4]])]:
+        with pytest.raises(QuantizationError, match="1-d"):
+            ConditionalDistribution(ids, masses)
     for ids in ([0.5, 1.7], [True, False], ["3", 2]):
         with pytest.raises(QuantizationError):
             ConditionalDistribution.from_probs(ids, [0.5, 0.5])

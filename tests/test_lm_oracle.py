@@ -110,6 +110,60 @@ def test_build_large_denominators(dist):
     assert_same_build(ids, masses)
 
 
+def assert_lexsort_order(ids, masses):
+    """The constructor's ids and masses are those of the two-key ``np.lexsort``, byte for byte."""
+    ids, masses = np.asarray(ids, dtype=np.int64), np.asarray(masses, dtype=np.int64)
+    order = np.lexsort((ids, -masses))
+    got = ConditionalDistribution(ids, masses)
+    assert got.token_ids.tobytes() == ids[order].tobytes()
+    assert got.masses.tobytes() == masses[order].tobytes()
+    assert got.denominator == int(masses.sum())
+
+
+# (id, mass) entries that the one int64 key holds, masses up to 2**31 and ids below 2**32, with ties,
+# repeats and the key's edges; and entries past it, any one of which sends a distribution to the two-key sort.
+_IN_KEY = st.tuples(st.one_of(st.integers(0, 40), st.sampled_from([2**31, 2**32 - 1])),
+                    st.one_of(st.integers(1, 3), st.sampled_from([2**31 - 1, 2**31])))
+_PAST_KEY = st.one_of(st.tuples(st.sampled_from([2**32, 2**63 - 1]), st.integers(1, 3)),
+                      st.tuples(st.integers(0, 40), st.sampled_from([2**31 + 1, 1 << 40])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.lists(_IN_KEY, min_size=1, max_size=80), st.lists(_PAST_KEY, max_size=2))
+       .flatmap(lambda lists: st.permutations(lists[0] + lists[1])))
+@example([(2**32 - 1, 2**31), (0, 2**31), (7, 2**31)])  # the smallest key, -2**63, and ties at the largest mass
+@example([(2**32 - 1, 2**31 + 1), (3, 2**31 + 1), (0, 1)])  # a mass past 2**31
+@example([(0, 1), (2**32, 2), (2**32 - 1, 1)])  # an id at 2**32 would carry into the mass bits
+@example([(9, 2), (4, 2), (9, 2), (4, 1), (4, 1)])  # repeated ids, tied and not
+def test_order_equals_the_two_key_lexsort_at_the_keys_edges(entries):
+    assert_lexsort_order([t for t, _m in entries], [m for _t, m in entries])
+
+
+def test_full_support_ties_out_of_id_order_take_one_sort(monkeypatch):
+    """A full-support reply: tens of thousands of equal masses on shuffled ids, in one argsort and no lexsort."""
+    shape = np.arange(1, ZIPF_VOCAB + 1, dtype=np.float64) ** -1.1
+    masses = quantize(shape / shape.sum())
+    ids = np.random.default_rng(3).permutation(ZIPF_VOCAB).astype(np.int64)
+    by_mass = np.argsort(-masses, kind="stable")
+    ties = masses[by_mass][1:] == masses[by_mass][:-1]
+    assert np.count_nonzero(ties) >= 30_000
+    assert np.any(ties & (ids[by_mass][1:] < ids[by_mass][:-1]))  # a mass-only sort leaves ties out of id order
+    assert_lexsort_order(ids, masses)
+    sorts = []
+    for name in ("argsort", "lexsort"):
+        monkeypatch.setattr(np, name, _logged(getattr(np, name), name, sorts))
+    ConditionalDistribution(ids, masses)
+    assert sorts == ["argsort"]
+
+
+def _logged(sort, name, log):
+    """``sort``, appending ``name`` to ``log`` on each call."""
+    def logged(*args, **kwargs):
+        log.append(name)
+        return sort(*args, **kwargs)
+    return logged
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 3)), min_size=2, max_size=60))
 @example([(EOS_ID, 3), (5, 1), (5, 2)])

@@ -148,6 +148,28 @@ def test_cached_provider_shares_one_entry_across_contexts_when_the_window_is_zer
     assert counting.calls == 1
 
 
+@pytest.mark.parametrize("cfg, sentences", [
+    # 16 steps, EOS included, against a budget of 10 + 5.
+    (GenerationConfig(max_tokens=10, max_len=5), [[4] * 4] * 3 + [[]]),
+    # A hostile file of 1,000,000 words, 25 to a line: 1,040,000 steps against 1,000,000 + 200.
+    (GenerationConfig(), [[4] * 25] * 40_000),
+], ids=["one-step-over", "a-million-words"])
+def test_extract_refuses_more_steps_than_embedding_writes_before_any_model_call(cfg, sentences):
+    counting = ContextFreeProvider()
+    with pytest.raises(DesyncError, match="max_tokens \\+ max_len"):
+        extract_text(ADGCodec(), sentences, counting, cfg)
+    assert counting.calls == 0
+
+
+def test_a_text_longer_than_max_tokens_that_embedding_wrote_round_trips(model):
+    # Embedding stops counting once the message is delivered and finishes that sentence.
+    payload = bytes([0, 7, 9, 200])
+    cfg = GenerationConfig(sample_seed=0, pad_seed=1, max_len=40, max_tokens=14)
+    sentences, trace = embed_text(ADGCodec(), frame(payload), model, cfg)
+    assert len(trace.steps) == sum(len(s) + 1 for s in sentences) > cfg.max_tokens
+    assert deframe(extract_text(ADGCodec(), sentences, model, cfg)) == bytes_to_bits(payload)
+
+
 def assert_each_distribution_counted_once(provider):
     held = {id(dist): len(dist) for dist in provider._cache.values()}
     assert provider._entries == sum(held.values())
