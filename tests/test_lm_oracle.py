@@ -110,16 +110,6 @@ def test_build_large_denominators(dist):
     assert_same_build(ids, masses)
 
 
-def assert_lexsort_order(ids, masses):
-    """The constructor's ids and masses are those of the two-key ``np.lexsort``, byte for byte."""
-    ids, masses = np.asarray(ids, dtype=np.int64), np.asarray(masses, dtype=np.int64)
-    order = np.lexsort((ids, -masses))
-    got = ConditionalDistribution(ids, masses)
-    assert got.token_ids.tobytes() == ids[order].tobytes()
-    assert got.masses.tobytes() == masses[order].tobytes()
-    assert got.denominator == int(masses.sum())
-
-
 # (id, mass) entries that the one int64 key holds, masses up to 2**31 and ids below 2**32, with ties,
 # repeats and the key's edges; and entries past it, any one of which sends a distribution to the two-key sort.
 _IN_KEY = st.tuples(st.one_of(st.integers(0, 40), st.sampled_from([2**31, 2**32 - 1])),
@@ -136,7 +126,8 @@ _PAST_KEY = st.one_of(st.tuples(st.sampled_from([2**32, 2**63 - 1]), st.integers
 @example([(0, 1), (2**32, 2), (2**32 - 1, 1)])  # an id at 2**32 would carry into the mass bits
 @example([(9, 2), (4, 2), (9, 2), (4, 1), (4, 1)])  # repeated ids, tied and not
 def test_order_equals_the_two_key_lexsort_at_the_keys_edges(entries):
-    assert_lexsort_order([t for t, _m in entries], [m for _t, m in entries])
+    ids, masses = [t for t, _m in entries], [m for _t, m in entries]
+    assert_same_order(ConditionalDistribution(ids, masses), oracle_lm.OracleDistribution.from_masses(ids, masses))
 
 
 def test_full_support_ties_out_of_id_order_take_one_sort(monkeypatch):
@@ -148,7 +139,7 @@ def test_full_support_ties_out_of_id_order_take_one_sort(monkeypatch):
     ties = masses[by_mass][1:] == masses[by_mass][:-1]
     assert np.count_nonzero(ties) >= 30_000
     assert np.any(ties & (ids[by_mass][1:] < ids[by_mass][:-1]))  # a mass-only sort leaves ties out of id order
-    assert_lexsort_order(ids, masses)
+    assert_same_order(ConditionalDistribution(ids, masses), oracle_lm.OracleDistribution.from_masses(ids, masses))
     sorts = []
     for name in ("argsort", "lexsort"):
         monkeypatch.setattr(np, name, _logged(getattr(np, name), name, sorts))
