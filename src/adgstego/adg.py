@@ -22,6 +22,17 @@ hole at the latest, and union-find pointers over the holes alone skip
 them: the Python work follows the tokens placed in groups ``0..u-2``, not
 the number of tokens.
 
+The greedy reads each node's masses and prefix sums from one pair of
+buffers, of a kind chosen by the node's size.  A node of at most
+``SMALL_NODE`` members reads Python lists made with ``tolist()``.  Most
+nodes are that small (276 of the 279 nodes grouped for one 4,096-token
+Zipf distribution's stats, 15 members on average), and for them numpy's
+fixed set-up per call (the cumulative sum, the negation and the byte
+copies) costs more than their groups do.  A larger node reads typed
+``array("q")`` buffers, copied from numpy without making a Python int per
+member, so a greedy suspended over it keeps 16 bytes per member: a
+bundled-model tree keeps hundreds of 904-member greedies alive.
+
 The greedy is resumable.  It runs as one generator per node, paused after
 each group, and a node forms groups only as far as a request needs:
 embedding stops after the selected group, extraction once the observed
@@ -77,6 +88,7 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import bisect_left, bisect_right, insort
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -90,6 +102,9 @@ from .lm import ConditionalDistribution, sample_token
 # the oldest first.  The stats of every bundled-model context fill 5,844.
 UNIT_MEMO_LABELS = 1 << 20
 _unit_memo: Dict[Tuple[int, int], Tuple[array, List[int], List[int]]] = {}
+# The greedy reads a node of at most this many members from Python lists, a
+# larger one from typed buffers.
+SMALL_NODE = 64
 
 
 def group_count(p_max_mass: int, denominator: int) -> int:
@@ -122,10 +137,14 @@ def _greedy(m: np.ndarray, u: int, label: array, totals: List[int], heads: List[
     buffers.
     """
     n = m.size
-    # Typed buffers: copied in O(n) without making a Python int per element.
-    prefix = array("q", bytes(8))  # prefix[i] = sum(m[:i])
-    prefix.frombytes(m.cumsum().tobytes())
-    neg = array("q", (-m).tobytes())  # mass i is -neg[i]; ascending, for bisect
+    if n <= SMALL_NODE:
+        masses = m.tolist()
+        neg = [-x for x in masses]  # mass i is -neg[i]; ascending, for bisect
+        prefix = [0, *accumulate(masses)]  # prefix[i] = sum(m[:i])
+    else:
+        prefix = array("q", bytes(8))
+        prefix.frombytes(m.cumsum().tobytes())
+        neg = array("q", (-m).tobytes())
     # The dead indices are [0, front) and the sorted holes.  Union-find
     # pointers over the holes alone skip them: an index with no pointer is
     # alive if it lies in [front, n).
@@ -133,33 +152,40 @@ def _greedy(m: np.ndarray, u: int, label: array, totals: List[int], heads: List[
     nxt: Dict[int, int] = {}  # hole -> a later index
     prv: Dict[int, int] = {}  # hole -> an earlier index
 
-    # The running mean is the exact rational remaining / slots; comparisons
-    # against it cross-multiply by slots so everything stays in integers.
+    # The running mean is the exact rational remaining / slots, and the gap
+    # from the group's mass up to it is eps = eps_num / slots, with eps_num
+    # carried as the group grows.  Comparisons cross-multiply by slots so
+    # everything stays in integers.
     remaining = prefix[n]
     front = 0
     for g in range(u - 1):
         slots = u - g
-        front = _skip(nxt, front)
+        if front in nxt:
+            front = _skip(nxt, front)
         if front >= n:
             raise StegoError("ran out of tokens while forming groups")
         heads.append(front)
         gmass = -neg[front]  # the head: the largest alive token
         label[front] = g
         front += 1
-        while gmass * slots < remaining:
-            # The gap is eps = eps_num / slots; a mass reaches it iff >= ceil(eps).
-            eps_num = remaining - gmass * slots
-            ceil_eps = -(-eps_num // slots)
-            front = _skip(nxt, front)
+        eps_num = remaining - gmass * slots
+        while eps_num > 0:
+            ceil_eps = -(-eps_num // slots)  # a mass reaches the gap iff >= ceil(eps)
+            if front in nxt:
+                front = _skip(nxt, front)
             if front >= n:
                 break
             if -neg[front] * slots < eps_num:
                 # No alive mass reaches the gap, so the nearest is the largest
                 # alive token, and it fits.  That repeats while the alive run
                 # from front lasts and its prefix sum stays under the gap.
+                stop = bisect_left(prefix, prefix[front] + ceil_eps, front) - 1
                 h = bisect_right(holes, front)  # the next hole, if any, ends the run
-                stop = min([bisect_left(prefix, prefix[front] + ceil_eps) - 1, *holes[h : h + 1]])
-                gmass += prefix[stop] - prefix[front]
+                if h < len(holes) and holes[h] < stop:
+                    stop = holes[h]
+                run = prefix[stop] - prefix[front]
+                gmass += run
+                eps_num -= run * slots
                 label[front:stop] = array("i", [g]) * (stop - front)
                 front = stop
                 continue
@@ -167,11 +193,17 @@ def _greedy(m: np.ndarray, u: int, label: array, totals: List[int], heads: List[
             # at or above it (which exists), each its lowest-id alive holder;
             # equidistant candidates resolve to the lower mass.
             k = bisect_right(neg, -ceil_eps)  # indices [0, k) reach the gap
-            cand = _skip(prv, k - 1)
+            cand = k - 1
+            if cand in prv:
+                cand = _skip(prv, cand)
             cand_mass = -neg[cand]
             if cand > front and neg[cand - 1] == neg[cand]:  # tied: find the lowest-id alive holder
-                cand = _skip(nxt, max(bisect_left(neg, neg[cand]), front))
-            below = _skip(nxt, k)
+                cand = max(bisect_left(neg, neg[cand]), front)
+                if cand in nxt:
+                    cand = _skip(nxt, cand)
+            below = k
+            if below in nxt:
+                below = _skip(nxt, below)
             if below < n and 2 * eps_num <= (cand_mass - neg[below]) * slots:
                 cand, cand_mass = below, -neg[below]
             if cand_mass * slots >= 2 * eps_num:
@@ -180,10 +212,12 @@ def _greedy(m: np.ndarray, u: int, label: array, totals: List[int], heads: List[
             insort(holes, cand)
             label[cand] = g
             gmass += cand_mass
+            eps_num -= cand_mass * slots
         remaining -= gmass
         totals.append(gmass)
         yield
-    front = _skip(nxt, front)  # the last group's head
+    if front in nxt:
+        front = _skip(nxt, front)  # the last group's head
     if front >= n:
         raise StegoError("equal grouping left the final group empty")
     heads.append(front)
@@ -244,7 +278,7 @@ class _Node:
     tree.  The greedy writes each member's group into the int32 table
     ``_label`` as it places the member, and ``child`` and ``locate`` read
     it.  Once the greedy ends
-    its typed buffers and union-find pointers are freed, and the labels
+    its read buffers and union-find pointers are freed, and the labels
     and group totals stay.  A child learns its ``u`` from its first mass,
     so the node keeps no group heads; ``implicit_q`` groups through
     :func:`equal_group` and builds no node.

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adgstego import ADGCodec, BitMessage, group_count, implicit_q
-from adgstego.adg import _Node, _tree, equal_group
+from adgstego.adg import SMALL_NODE, _Node, _tree, equal_group
 from adgstego.corpus import BOS_ID
 from adgstego.errors import StegoError
 from adgstego.lm import ConditionalDistribution, quantize
@@ -71,14 +71,42 @@ def distributions(draw, mass_strategy, max_size=160):
     return ids, masses
 
 
+def at_buffer_bound(value, *args):
+    """``@example``s at nodes of ``SMALL_NODE - 1``, ``SMALL_NODE`` and ``SMALL_NODE + 1`` members.
+
+    The greedy reads a node of up to ``SMALL_NODE`` members from lists and a
+    larger one from typed buffers, so both kinds meet the oracle in every
+    run, not only when hypothesis draws those sizes.  Each example's first
+    argument is ``(ids, [value(i) for i in range(n)])``, ids running
+    against the grouping order; ``args`` follow it.
+    """
+    def decorate(test):
+        for n in (SMALL_NODE - 1, SMALL_NODE, SMALL_NODE + 1):
+            test = example((list(range(n, 0, -1)), [value(i) for i in range(n)]), *args)(test)
+        return test
+    return decorate
+
+
+def heavy_head(i):
+    """A heavy head over a flat, uneven tail: runs, nearest-mass picks and holes."""
+    return 10**6 // (i + 1) ** 2 + (i * 7_919) % 13
+
+
+def small_count(i):
+    """Counts 0..6 with long runs of ties, as add-k smoothing sees them."""
+    return (i * i) % 7
+
+
 @settings(max_examples=150, deadline=None)
 @given(distributions(st.integers(1, 10**9)))
+@at_buffer_bound(heavy_head)
 def test_random_masses_every_u(dist):
     assert_identical_for_every_u(*dist)
 
 
 @settings(max_examples=150, deadline=None)
 @given(distributions(st.integers(0, 6)), st.integers(1, 3))
+@at_buffer_bound(small_count, 1)
 def test_add_k_style_ties_every_u(dist, k):
     # Add-k smoothing turns small counts into a few distinct masses with
     # long runs of ties: (count + k/2) scaled to integers.
@@ -298,14 +326,20 @@ def assert_requests_match_oracle(ids, masses, log_u, requests):
 requests = st.lists(st.tuples(st.sampled_from(["child", "locate", "groups"]), st.integers(0, 10**6)), max_size=12)
 
 
+# A member of the first group, one deep in the node, then every group.
+BOUND_REQUESTS = [("child", 0), ("locate", 40), ("groups", 0)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(distributions(st.integers(1, 10**9)), st.integers(1, 8), requests)
+@at_buffer_bound(heavy_head, 4, BOUND_REQUESTS)
 def test_resumable_node_random_masses_any_request_order(dist, log_u, reqs):
     assert_requests_match_oracle(*dist, log_u, reqs)
 
 
 @settings(max_examples=150, deadline=None)
 @given(distributions(st.integers(0, 6)), st.integers(1, 3), st.integers(1, 8), requests)
+@at_buffer_bound(small_count, 2, 4, BOUND_REQUESTS)
 def test_resumable_node_add_k_ties_any_request_order(dist, k, log_u, reqs):
     ids, counts = dist
     assert_requests_match_oracle(ids, [2 * c + k for c in counts], log_u, reqs)
