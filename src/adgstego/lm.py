@@ -66,16 +66,17 @@ def quantize(probs: Sequence[float]) -> np.ndarray:
         raise QuantizationError(f"probabilities are not a vector of numbers: {exc}") from exc
     if arr.ndim != 1 or arr.size == 0:
         raise QuantizationError("expected a nonempty 1-d probability vector")
-    if not np.all(np.isfinite(arr)):
-        raise QuantizationError("probabilities must be finite")
-    if np.any(arr < 0):
+    total = float(arr.sum())  # a NaN or infinite entry, or a sum past float range, leaves it unfinite
+    if not math.isfinite(total):
+        raise QuantizationError("probabilities and their sum must be finite")
+    if arr.min() < 0:
         raise QuantizationError("probabilities must be nonnegative")
-    total = float(arr.sum())
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise QuantizationError(f"probabilities sum to {total!r}, outside 1 +/- {SUM_TOLERANCE}")
 
-    scaled = (arr / total) * DENOMINATOR
-    out = np.floor(scaled).astype(np.int64)
+    scaled = arr / total
+    scaled *= DENOMINATOR  # rounded once more, as (arr / total) * DENOMINATOR is
+    out = scaled.astype(np.int64)  # truncation is the floor: every entry is >= 0
     deficit = DENOMINATOR - int(out.sum())
     if not 0 <= deficit < arr.size:
         raise QuantizationError(f"{deficit} leftover units for {arr.size} entries")

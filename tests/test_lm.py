@@ -183,9 +183,12 @@ def test_distribution_from_probs_rejects_a_scalar_probability():
     lambda: ConditionalDistribution.from_probs([1, 2], ["a", "b"]),
     lambda: quantize([10**400, 0.5]),
     lambda: ConditionalDistribution.from_probs([1, 2], [10**400, 0.5]),
-], ids=["ragged", "from-probs-ragged", "from-probs-strings", "past-float-range", "from-probs-past-float-range"])
+    lambda: quantize([1e308, 1e308]),
+], ids=["ragged", "from-probs-ragged", "from-probs-strings", "past-float-range", "from-probs-past-float-range",
+        "sum-past-float-range"])
 def test_unreadable_probabilities_raise_quantization_error(call):
-    # numpy's conversion error was once raised bare.
+    # numpy's conversion error was once raised bare; finite entries whose sum
+    # overflows to inf must not pass the finiteness check taken from that sum.
     with pytest.raises(QuantizationError):
         call()
 
