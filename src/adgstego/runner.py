@@ -182,8 +182,9 @@ class GenerationConfig:
 
     def __post_init__(self):
         # At max_len 0 every sentence is a lone forced EOS until max_tokens runs
-        # out; at min_len 0 a sentence may be empty, a blank line the corpus reader drops.
-        for name in ("min_len", "max_len"):
+        # out; at min_len 0 a sentence may be empty, a blank line the corpus reader
+        # drops; at max_tokens 0 no step may run, so no message is delivered.
+        for name in ("min_len", "max_len", "max_tokens"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 

@@ -79,11 +79,14 @@ def test_capacity_error_on_token_budget(provider):
         embed_text(ADGCodec(), frame(b"far too much payload for three tokens"), provider, cfg)
 
 
-@pytest.mark.parametrize("setting", [{"min_len": 0}, {"max_len": 0}, {"min_len": -3}],
-                         ids=["min-len-zero", "max-len-zero", "min-len-negative"])
+@pytest.mark.parametrize("setting", [{"min_len": 0}, {"max_len": 0}, {"min_len": -3}, {"max_tokens": 0},
+                                     {"max_tokens": -5}],
+                         ids=["min-len-zero", "max-len-zero", "min-len-negative", "max-tokens-zero",
+                              "max-tokens-negative"])
 def test_lengths_below_one_are_rejected(setting):
     # max_len 0 made every sentence a lone forced EOS, which only a budget stopped;
-    # min_len 0 let a sentence end empty, a blank line the corpus reader drops.
+    # min_len 0 let a sentence end empty, a blank line the corpus reader drops;
+    # max_tokens -5 once surfaced as a CapacityError "within -5 tokens" at the first step.
     with pytest.raises(ConfigError, match=next(iter(setting))):
         GenerationConfig(**setting)
     GenerationConfig(min_len=1, max_len=1)
