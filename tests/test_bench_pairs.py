@@ -14,11 +14,15 @@ _spec.loader.exec_module(bench_pairs)
 DIRECTIONS = {"embed_bps.adg": "higher", "stats_s": "lower", "er.adg": "higher", "kld1_qp.adg": "lower"}
 
 
-def _record(embed, stats, er=9.0, kld=0.03, digest="aa", failed=0, embed_s=2.0, reference=(280, 1.0)):
+def _record(embed, stats, er=9.0, kld=0.03, digest="aa", failed=0, embed_s=2.0, reference=(280, 1.0),
+            raw_stats=(0.2, 0.4, 0.3)):
     detail = {
         "codecs": {"adg": {"payload_bits": 1000, "embed_s": embed_s, "extract_s": 0.0, "stego_sha256": digest}},
         "reference_units": reference[0],
         "reference_s": reference[1],
+        "setup_s": [1.5],
+        "stats_s": list(raw_stats),
+        "report_s": [0.02, 0.01],
     }
     metrics = {"embed_bps.adg": embed, "stats_s": stats, "er.adg": er, "kld1_qp.adg": kld}
     result = {"correct": failed == 0, "attempted": 10, "failed": failed,
@@ -26,10 +30,12 @@ def _record(embed, stats, er=9.0, kld=0.03, digest="aa", failed=0, embed_s=2.0, 
     return bench_pairs.run_record(detail, result, 140.0)
 
 
-def test_run_record_keeps_digests_unscaled_rates_and_reference_speed():
+def test_run_record_keeps_digests_unscaled_rates_and_times_and_reference_speed():
     record = _record(5.0, 0.3, embed_s=4.0, reference=(700, 2.5))
     assert record["stego_sha256"] == {"adg": "aa"}
     assert record["unscaled_bps"] == {"embed_bps.adg": 250.0, "extract_bps.adg": 0.0}
+    # Each time is the median of the run's raw passes, not scaled by the kernel's speed.
+    assert record["unscaled_s"] == {"setup_s": 1.5, "stats_s": 0.3, "report_s": 0.015}
     assert record["reference_speed"] == pytest.approx(2.0)
     assert record["result"]["metrics"]["embed_bps.adg"]["value"] == 5.0
 
@@ -37,8 +43,9 @@ def test_run_record_keeps_digests_unscaled_rates_and_reference_speed():
 def test_summary_medians_quartiles_and_wins_follow_each_metrics_direction():
     parent = {"1": _record(10, 0.5), "2": _record(20, 0.4), "3": _record(30, 0.3), "4": _record(40, 0.2),
               "10": _record(50, 0.1)}
-    change = {"1": _record(15, 0.5), "2": _record(20, 0.3), "3": _record(25, 0.4), "4": _record(60, 0.1),
-              "10": _record(70, 0.2, embed_s=1.0)}
+    change = {"1": _record(15, 0.5), "2": _record(20, 0.3, raw_stats=(0.25,)),
+              "3": _record(25, 0.4, raw_stats=(0.2,)), "4": _record(60, 0.1, raw_stats=(0.1, 0.2)),
+              "10": _record(70, 0.2, embed_s=1.0, raw_stats=(0.5,))}
     summary = bench_pairs.summarize({"parent": parent, "change": change}, DIRECTIONS)
     assert summary["seeds"] == [1, 2, 3, 4, 10]  # numeric order, not string order
     assert summary["median"]["parent"]["embed_bps.adg"] == 30
@@ -51,6 +58,11 @@ def test_summary_medians_quartiles_and_wins_follow_each_metrics_direction():
     assert summary["median_change"]["embed_bps.adg"] == pytest.approx(25 / 30 - 1)
     assert summary["unscaled_median"]["change"]["embed_bps.adg"] == 500.0
     assert summary["unscaled_change_wins"]["embed_bps.adg"] == 1
+    # Unscaled times are better lower: seeds 2, 3 and 4 win, seed 10 loses, seed 1 ties.
+    assert summary["unscaled_median"]["parent"]["stats_s"] == 0.3
+    assert summary["unscaled_median"]["change"]["stats_s"] == 0.25
+    assert summary["unscaled_change_wins"]["stats_s"] == 3
+    assert summary["unscaled_change_wins"]["setup_s"] == 0 and summary["unscaled_median"]["change"]["setup_s"] == 1.5
     assert summary["reference_speed_median"] == {"parent": 2.0, "change": 2.0}
     assert summary["head_stego_sha256_equal"] and summary["er_kld1_equal"]
     assert summary["failed"] == {"parent": 0, "change": 0}

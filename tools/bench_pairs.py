@@ -12,8 +12,9 @@ the pairs it finished.
 
 Per workload the file holds every run's result line, with the head stego
 digest of each codec, the unscaled per-codec rates (payload bits over
-embed or extract seconds, from the detail line) and the reference
-kernel's speed; and per metric, each side's median and quartiles, the
+embed or extract seconds, from the detail line), the unscaled set-up,
+stats and report times (the median of each one's raw times in the detail
+line) and the reference kernel's speed; and per metric, each side's median and quartiles, the
 count of pairs the change won by the metric's direction in
 ``BENCHMARK.json`` (equal values count for neither side) and the change's
 median over the parent's, minus 1.  ``head_stego_sha256_equal`` and
@@ -42,6 +43,7 @@ from typing import Dict, List
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 EXACT = ("er.adg", "kld1_qp.adg")  # output figures: a speedup must leave them equal
+UNSCALED_TIMES = ("setup_s", "stats_s", "report_s")  # lists of raw seconds in the detail line
 
 NOTE = (
     "Both trees were exported with git archive from the named commits and run unchanged, one run at a time, "
@@ -49,7 +51,10 @@ NOTE = (
     "metric's direction in BENCHMARK.json; equal values count for neither side. 'quartiles' are the first and "
     "third quartiles of statistics.quantiles(n=4). 'median_change' is the change's median over the parent's, "
     "minus 1. 'unscaled_bps' are each run's per-codec rates from the detail line (payload_bits / embed_s or "
-    "extract_s), not divided by the reference kernel's speed; 'reference_speed' is the kernel's speed over the "
+    "extract_s), not divided by the reference kernel's speed; 'unscaled_s' are the medians of each run's raw "
+    "setup_s, stats_s and report_s times from the detail line, not multiplied by the kernel's speed. "
+    "'unscaled_median' and 'unscaled_change_wins' cover both, rates higher and times lower being better. "
+    "'reference_speed' is the kernel's speed over the "
     "timed phase as a multiple of its nominal one, the divisor of that run's scaled rates. "
     "'head_stego_sha256_equal' compares each codec's head stego digest of the two sides at every seed; "
     "'er_kld1_equal' compares er.adg and kld1_qp.adg."
@@ -64,7 +69,7 @@ def _nominal_units_per_s() -> float:
 
 
 def run_record(detail: dict, result: dict, nominal_units_per_s: float) -> dict:
-    """One run as stored: its result line, head stego digests, unscaled rates and reference speed."""
+    """One run as stored: its result line, head stego digests, unscaled rates and times, and reference speed."""
     unscaled = {}
     for name, codec in detail["codecs"].items():
         for kind, seconds in (("embed", codec["embed_s"]), ("extract", codec["extract_s"])):
@@ -73,6 +78,7 @@ def run_record(detail: dict, result: dict, nominal_units_per_s: float) -> dict:
         "result": result,
         "stego_sha256": {name: codec["stego_sha256"] for name, codec in sorted(detail["codecs"].items())},
         "unscaled_bps": unscaled,
+        "unscaled_s": {name: statistics.median(detail[name]) for name in UNSCALED_TIMES},
         "reference_speed": detail["reference_units"] / detail["reference_s"] / nominal_units_per_s,
     }
 
@@ -101,9 +107,11 @@ def summarize(runs: Dict[str, Dict[str, dict]], directions: Dict[str, str]) -> d
     seeds = sorted(runs["parent"], key=int)
     series = {side: {name: [runs[side][s]["result"]["metrics"][name]["value"] for s in seeds]
                      for name in directions} for side in SIDES}
-    unscaled_names = list(runs["parent"][seeds[0]]["unscaled_bps"])
-    unscaled = {side: {name: [runs[side][s]["unscaled_bps"][name] for s in seeds] for name in unscaled_names}
-                for side in SIDES}
+    # Unscaled rates are better higher, unscaled times lower.
+    first = runs["parent"][seeds[0]]
+    unscaled_better = {**dict.fromkeys(first["unscaled_bps"], "higher"), **dict.fromkeys(first["unscaled_s"], "lower")}
+    merged = {side: [{**runs[side][s]["unscaled_bps"], **runs[side][s]["unscaled_s"]} for s in seeds] for side in SIDES}
+    unscaled = {side: {name: [m[name] for m in merged[side]] for name in unscaled_better} for side in SIDES}
     median = {side: {name: statistics.median(v) for name, v in series[side].items()} for side in SIDES}
     unscaled_median = {side: {name: statistics.median(v) for name, v in unscaled[side].items()} for side in SIDES}
     return {
@@ -115,8 +123,8 @@ def summarize(runs: Dict[str, Dict[str, dict]], directions: Dict[str, str]) -> d
                         for name, better in directions.items()},
         "median_change": {name: _ratio(median["change"][name], median["parent"][name]) for name in directions},
         "unscaled_median": unscaled_median,
-        "unscaled_change_wins": {name: _wins(unscaled["parent"][name], unscaled["change"][name], "higher")
-                                 for name in unscaled_names},
+        "unscaled_change_wins": {name: _wins(unscaled["parent"][name], unscaled["change"][name], better)
+                                 for name, better in unscaled_better.items()},
         "reference_speed_median": {side: statistics.median(runs[side][s]["reference_speed"] for s in seeds)
                                    for side in SIDES},
         "head_stego_sha256_equal": all(runs["parent"][s]["stego_sha256"] == runs["change"][s]["stego_sha256"]
