@@ -30,7 +30,7 @@ def _record(embed, stats, er=9.0, kld=0.03, digest="aa", failed=0, embed_s=2.0, 
     return bench_pairs.run_record(detail, result, 140.0)
 
 
-def test_run_record_keeps_digests_unscaled_rates_and_times_and_reference_speed():
+def test_run_record_keeps_digests_unscaled_rates_and_reference_speed():
     record = _record(5.0, 0.3, embed_s=4.0, reference=(700, 2.5))
     assert record["stego_sha256"] == {"adg": "aa"}
     assert record["unscaled_bps"] == {"embed_bps.adg": 250.0, "extract_bps.adg": 0.0}

@@ -14,13 +14,15 @@ Per workload the file holds every run's result line, with the head stego
 digest of each codec, the unscaled per-codec rates (payload bits over
 embed or extract seconds, from the detail line), the unscaled set-up,
 stats and report times (the median of each one's raw times in the detail
-line) and the reference kernel's speed; and per metric, each side's median and quartiles, the
-count of pairs the change won by the metric's direction in
-``BENCHMARK.json`` (equal values count for neither side) and the change's
-median over the parent's, minus 1.  ``head_stego_sha256_equal`` and
-``er_kld1_equal`` say whether every pair agreed on each codec's head stego
-digest and on ``er.adg`` and ``kld1_qp.adg``.  The whole run takes about
-``2 x workloads x seeds x (seconds + 15 s)``.
+line) and the reference kernel's speed; and per metric, each side's
+median and quartiles, the count of pairs the change won by the metric's
+direction in ``BENCHMARK.json`` (equal values count for neither side) and
+the change's median over the parent's, minus 1.  The unscaled figures get
+medians and win counts too, rates being better higher and times lower.
+``head_stego_sha256_equal`` and ``er_kld1_equal`` say whether every pair
+agreed on each codec's head stego digest and on ``er.adg`` and
+``kld1_qp.adg``.  The whole run takes about ``2 x workloads x seeds x
+(seconds + 15 s)``.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ NOTE = (
     "extract_s), not divided by the reference kernel's speed; 'unscaled_s' are the medians of each run's raw "
     "setup_s, stats_s and report_s times from the detail line, not multiplied by the kernel's speed. "
     "'unscaled_median' and 'unscaled_change_wins' cover both, rates higher and times lower being better. "
-    "'reference_speed' is the kernel's speed over the "
-    "timed phase as a multiple of its nominal one, the divisor of that run's scaled rates. "
+    "'reference_speed' is the kernel's speed over the timed phase as a multiple of its nominal one, the "
+    "divisor of that run's scaled rates. "
     "'head_stego_sha256_equal' compares each codec's head stego digest of the two sides at every seed; "
     "'er_kld1_equal' compares er.adg and kld1_qp.adg."
 )
