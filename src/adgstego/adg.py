@@ -359,10 +359,22 @@ class _Node:
         return sample_token(rng, self._member_ids, self._cumsum, self.total_mass)
 
 
+_RANGE = np.arange(0, dtype=np.int64)  # 0, 1, 2, ...: every root's positions are a prefix of it
+
+
+def _positions(n: int) -> np.ndarray:
+    """``0 .. n - 1`` as a read-only view of one shared range, which at least doubles when it is too short."""
+    global _RANGE
+    if _RANGE.size < n:
+        _RANGE = np.arange(max(n, 2 * _RANGE.size), dtype=np.int64)
+        _RANGE.flags.writeable = False
+    return _RANGE[:n]
+
+
 def _tree(dist: ConditionalDistribution) -> _Node:
     node = dist.cache.get("adg_tree")
     if node is None:
-        node = _Node(np.arange(len(dist), dtype=np.int64), dist.masses, dist.denominator)
+        node = _Node(_positions(len(dist)), dist.masses, dist.denominator)
         dist.cache["adg_tree"] = node
     return node
 

@@ -255,16 +255,21 @@ class ArithmeticCodec(Codec):
     def delivered(self, msg: BitMessage) -> bool:
         return self._resolved >= len(msg)
 
-    def _truncated(self, dist: ConditionalDistribution):
+    def _truncated(self, dist: ConditionalDistribution, receiver: bool = False):
+        """The top set's running mass sums, their total, and for a ``receiver`` its id -> index map, else None.
+
+        Only ``extract_step`` reads the map, so a sender never builds it.
+        """
         key = ("arith", self.h)
         hit = dist.cache.get(key)
-        if hit is None:
-            cum = np.cumsum(dist.masses[: self.h]).tolist()
-            positions = dict(zip(dist.token_ids[: self.h].tolist(), range(len(cum))))
-            if len(positions) < len(cum):
-                require_distinct(dist.token_ids[: self.h])
-            hit = (cum, cum[-1], positions)
-            dist.cache[key] = hit
+        if hit is None or receiver and hit[2] is None:
+            cum = hit[0] if hit else np.cumsum(dist.masses[: self.h]).tolist()
+            positions = None
+            if receiver:
+                positions = dict(zip(dist.token_ids[: self.h].tolist(), range(len(cum))))
+                if len(positions) < len(cum):
+                    require_distinct(dist.token_ids[: self.h])
+            hit = dist.cache[key] = (cum, cum[-1], positions)
         return hit
 
     def _narrow(self, cum: List[int], total: int, j: int) -> None:
@@ -316,7 +321,7 @@ class ArithmeticCodec(Codec):
         return int(dist.token_ids[j]), bits, None
 
     def extract_step(self, dist, token_id) -> List[int]:
-        cum, total, positions = self._truncated(dist)
+        cum, total, positions = self._truncated(dist, receiver=True)
         j = positions.get(int(token_id))
         if j is None:
             raise DesyncError(f"token {token_id} outside the top {self.h} set")

@@ -39,6 +39,7 @@ import random
 import selectors
 import subprocess
 import time
+import weakref
 from bisect import bisect_right
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple, Union
@@ -123,7 +124,10 @@ class ConditionalDistribution:
     package builds; wider values take a two-key ``np.lexsort``.
 
     ``cache`` is scratch space for codec-level derived structures (grouping
-    trees, Huffman trees); it never leaves the process.
+    trees, Huffman trees); it never leaves the process.  The ids and masses
+    may be read-only arrays shared with other distributions (see
+    :class:`NGramLM`), so nothing writes to them in place; ``cache`` is
+    always the distribution's own.
     """
 
     __slots__ = ("token_ids", "masses", "denominator", "cache", "_positions")
@@ -168,8 +172,13 @@ class ConditionalDistribution:
         """
         if int(masses.sum()) != DENOMINATOR or masses[-1] < 1:
             raise QuantizationError(f"masses sum to {int(masses.sum())}, not {DENOMINATOR}, or end below 1")
+        return cls._trusted(token_ids, masses, DENOMINATOR)
+
+    @classmethod
+    def _trusted(cls, token_ids: np.ndarray, masses: np.ndarray, denominator: int) -> "ConditionalDistribution":
+        """Adopt checked int64 ids and masses in canonical order, and their total, as they are: no check, no copy."""
         dist = cls.__new__(cls)
-        dist._adopt(token_ids, masses, DENOMINATOR)
+        dist._adopt(token_ids, masses, denominator)
         return dist
 
     def __len__(self) -> int:
@@ -246,6 +255,15 @@ class NGramLM:
     ``contexts`` is the one table of seen contexts: it maps each context
     tuple, of any length from 1 to ``order - 1`` (its backoff level), to
     its successor ids, their counts and the counts' total.
+
+    Every context that backs off to one table entry (or to the unigram)
+    gets the same distribution, so the model builds it once and hands each
+    caller a new :class:`ConditionalDistribution`, with its own ``cache``,
+    over one read-only pair of ids and masses.  Several providers over one
+    model (sender and receiver, one per codec) then hold one copy of each
+    distribution's arrays, not one each, and an in-place write to them
+    raises ``ValueError``.  The model keeps a pair only by weak reference,
+    so a pair lives exactly as long as some distribution holds it.
     """
 
     def __init__(
@@ -266,6 +284,8 @@ class NGramLM:
         self.contexts = contexts
         self._k_ratio = Fraction(k).as_integer_ratio()
         self._ids = np.arange(vocab_size, dtype=np.int64)
+        # The entry's context tuple, or () for the unigram -> its (ids, masses) rows, one 2 x V array.
+        self._shared: "weakref.WeakValueDictionary[Tuple[int, ...], np.ndarray]" = weakref.WeakValueDictionary()
 
     @property
     def context_window(self) -> int:
@@ -276,11 +296,21 @@ class NGramLM:
         if not context or context[0] != BOS_ID:
             raise ConfigError("context must begin with the BOS id")
         for length in range(min(self.order - 1, len(context)), 0, -1):
-            entry = self.contexts.get(tuple(context[-length:]))
+            key = tuple(context[-length:])
+            entry = self.contexts.get(key)
             if entry is not None:
-                return self._smoothed(*entry)
-        seen = np.flatnonzero(self.unigram_counts)
-        return self._smoothed(seen, self.unigram_counts[seen], self.unigram_total)
+                break
+        else:
+            key = ()
+        pair = self._shared.get(key)
+        if pair is None:
+            if not key:
+                seen = np.flatnonzero(self.unigram_counts)
+                entry = (seen, self.unigram_counts[seen], self.unigram_total)
+            dist = self._smoothed(*entry)
+            pair = self._shared[key] = np.stack((dist.token_ids, dist.masses))
+            pair.flags.writeable = False  # and so are its rows, which every distribution of this entry holds
+        return ConditionalDistribution._trusted(pair[0], pair[1], DENOMINATOR)
 
     def _smoothed(self, ids: np.ndarray, counts: np.ndarray, total: int) -> ConditionalDistribution:
         """Apportion ``DENOMINATOR`` among ``(count + k) / (total + k * V)`` in integers alone.

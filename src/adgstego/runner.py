@@ -36,6 +36,14 @@ class CachedProvider:
     distributions first but always keeping the newest, however large.  A
     no-op EOS mask leaves one object under both of a context's keys, and
     it counts once, for as long as either key holds it.
+
+    The bound counts every distribution's arrays as its own, so it
+    over-counts those that are shared: distributions from one
+    :class:`~adgstego.lm.NGramLM` share read-only ids and masses across
+    every provider over that model, and an in-place write to them raises
+    ``ValueError``.  Codec state in each distribution's ``cache`` is never
+    shared; the arithmetic codec's id map, for one, is built only by a
+    receiver.
     """
 
     MAX_ENTRIES = 1 << 24  # 16 bytes each before trees; the bundled model's ~1.6 M all fit

@@ -95,6 +95,15 @@ def test_embed_step_worked_example_consumes_one_bit():
         assert ADGCodec().extract_step(dist, token) == [bit]
 
 
+def test_grouping_roots_share_one_read_only_position_range():
+    # The larger root first: a root past the shared range's length grows it, and the next shares the new one.
+    large, small = random_distribution(random.Random(3), 50), worked_dist()
+    roots = [adg._tree(large), adg._tree(small)]
+    assert [root.token_ids.tolist() for root in roots] == [list(range(50)), list(range(4))]
+    assert np.shares_memory(*(root.token_ids for root in roots))
+    assert not roots[1].token_ids.flags.writeable
+
+
 def test_extract_step_rejects_foreign_token():
     dist = worked_dist()
     with pytest.raises(DesyncError):

@@ -297,6 +297,26 @@ def test_arithmetic_rejects_tail_token():
         codec.extract_step(dist, int(dist.token_ids[7]))
 
 
+def test_arithmetic_sender_builds_no_id_map(model):
+    class Recording(CachedProvider):
+        def get(self, context, mask_eos):
+            dist = super().get(context, mask_eos)
+            seen.append(dist)
+            return dist
+
+    seen = []
+    embed_text(ArithmeticCodec(300), frame(b"no map"), Recording(model), GenerationConfig(sample_seed=3, pad_seed=4))
+    # A masked lookup records the unmasked distribution too, which the codec never reads.
+    seen = [dist for dist in seen if ("arith", 300) in dist.cache]
+    assert seen and all(dist.cache[("arith", 300)][2] is None for dist in seen)
+    # A receiver reading the sender's distribution builds the map, and still rejects a token past the top 300.
+    dist = seen[0]
+    receiver = ArithmeticCodec(300)
+    with pytest.raises(DesyncError, match="outside the top 300"):
+        receiver.extract_step(dist, int(dist.token_ids[300]))
+    assert len(dist.cache[("arith", 300)][2]) == 300
+
+
 def test_arithmetic_parameter_validation():
     with pytest.raises(ValueError):
         ArithmeticCodec(1)

@@ -1,5 +1,6 @@
 """Quantization, the n-gram model and the external provider protocol."""
 
+import gc
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import random
 import sys
 import textwrap
 import time
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adgstego.corpus import BOS_ID, EOS_ID, build_vocab
+from adgstego.corpus import BOS_ID, EOS_ID, UNK_ID, build_vocab
 from adgstego.errors import ModelMismatchError, ProviderError, QuantizationError, StegoError
 from adgstego.lm import (
     DENOMINATOR,
@@ -210,6 +212,26 @@ def _tiny_model(order=2, k=1.0):
     vocab = build_vocab(sents, min_count=1)
     ids = [vocab.encode_sentence(s) for s in sents]
     return vocab, train_ngram(ids, order=order, k=k, vocab=vocab)
+
+
+def test_contexts_of_one_entry_share_arrays_while_a_distribution_holds_them():
+    vocab, model = _tiny_model()
+    first = model.next_distribution([BOS_ID, vocab.encode_sentence(["a"])[1]])
+    ids, masses = first.token_ids.tobytes(), first.masses.tobytes()
+    # Two unseen contexts back off to the unigram, which neither shares with the context above.
+    second, third = model.next_distribution([BOS_ID, EOS_ID]), model.next_distribution([BOS_ID, UNK_ID])
+    assert np.shares_memory(second.masses, third.masses) and not np.shares_memory(first.masses, second.masses)
+    again = model.next_distribution([BOS_ID, BOS_ID, vocab.encode_sentence(["a"])[1]])
+    assert again is not first and again.token_ids.base is first.token_ids.base
+    shared = weakref.ref(first.token_ids.base)
+    del first
+    gc.collect()
+    assert shared() is not None  # still held by ``again``
+    del again
+    gc.collect()
+    assert shared() is None
+    rebuilt = model.next_distribution([BOS_ID, vocab.encode_sentence(["a"])[1]])
+    assert (rebuilt.token_ids.tobytes(), rebuilt.masses.tobytes()) == (ids, masses)
 
 
 class _FixedDraw:

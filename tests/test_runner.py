@@ -102,6 +102,18 @@ def test_cached_provider_returns_identical_objects(model):
     assert masked is provider.get((BOS_ID,), True)
 
 
+def test_providers_over_one_model_share_read_only_arrays(model):
+    context = (BOS_ID, EOS_ID + 1)
+    a, b = CachedProvider(model).get(context, False), CachedProvider(model).get(context, False)
+    assert a is not b and a.cache is not b.cache
+    assert np.shares_memory(a.token_ids, b.token_ids) and np.shares_memory(a.masses, b.masses)
+    for array in (a.token_ids, b.masses):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] += 1
+    a.cache["tree"] = object()
+    assert "tree" not in b.cache
+
+
 def test_cached_provider_eviction(model, monkeypatch):
     monkeypatch.setattr(CachedProvider, "MAX_ENTRIES", 2 * model.vocab_size)  # two distributions
     provider = CachedProvider(model)
