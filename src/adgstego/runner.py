@@ -84,21 +84,28 @@ def mask_eos_min(dist: ConditionalDistribution) -> ConditionalDistribution:
     """Reduce the EOS mass to the 1-unit minimum, excess to the largest entry.
 
     Keeps the total mass exact so grouping stays well defined.  A no-op when
-    EOS is absent or already at minimum mass.
+    EOS is absent or already at minimum mass.  The result is laid out in
+    canonical order without a sort: EOS leaves its place for the run of
+    mass-1 entries at the end, where it goes by id, and the entry that then
+    comes first takes the excess.
     """
     pos = dist.position_of(EOS_ID)
-    if pos is None or int(dist.masses[pos]) <= 1:
+    if pos is None or dist.masses.item(pos) <= 1:
         return dist
     if len(dist) == 1:
         raise ProviderError("the distribution holds only EOS, so EOS cannot be masked")
-    masses = dist.masses.copy()
-    excess = int(masses[pos]) - 1
-    masses[pos] = 1
-    # First entry is the largest by sort order; step past it if it is EOS itself.
-    target = 0 if pos != 0 else 1
-    masses[target] += excess
-    # Only EOS leaves its place in the order, so re-sorting the result is close to linear.
-    return ConditionalDistribution(dist.token_ids, masses)
+    ids, masses = dist.token_ids, dist.masses
+    # Masses descend, so the entries above 1, EOS among them, come first.
+    above = len(masses) - int(np.searchsorted(masses[::-1], 1, side="right"))
+    # Without EOS they keep their order, and so does the first entry once it takes
+    # the excess, even if it weighed 1.  EOS goes after them and after the mass-1
+    # ids below its own; pos <= end, and ids[end + 1:] are those mass-1 entries.
+    end = max(above - 1, 1)
+    end += int(np.searchsorted(ids[end + 1:], EOS_ID))
+    masked = np.concatenate((masses[:pos], masses[pos + 1:end + 1], [1], masses[end + 1:]))
+    masked[0] += masses.item(pos) - 1
+    return ConditionalDistribution._trusted(
+        np.concatenate((ids[:pos], ids[pos + 1:end + 1], [EOS_ID], ids[end + 1:])), masked, dist.denominator)
 
 
 @dataclass

@@ -153,6 +153,7 @@ def test_full_support_ties_out_of_id_order_take_one_sort(monkeypatch):
 @given(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 3)), min_size=2, max_size=60))
 @example([(EOS_ID, 3), (5, 1), (5, 2)])
 @example([(EOS_ID, 2), (5, 1), (EOS_ID, 1)])
+@example([(EOS_ID, 3), (9, 1)])  # masked, 9 takes the excess and moves ahead of EOS: [9, 3] / [3, 1]
 def test_build_repeated_ids(entries):
     # The constructor puts a repeated id in canonical order like any other; a lookup that meets one raises.
     ids, masses = [t for t, _m in entries], [m for _t, m in entries]
