@@ -67,7 +67,10 @@ def quantize(probs: Sequence[float]) -> np.ndarray:
         raise QuantizationError(f"probabilities are not a vector of numbers: {exc}") from exc
     if arr.ndim != 1 or arr.size == 0:
         raise QuantizationError("expected a nonempty 1-d probability vector")
-    total = float(arr.sum())  # a NaN or infinite entry, or a sum past float range, leaves it unfinite
+    try:
+        total = float(arr.sum())  # a NaN or infinite entry, or a sum past float range, leaves it unfinite
+    except RuntimeWarning as exc:  # warnings as errors: the sum overflowed, or added inf to -inf
+        raise QuantizationError(f"probabilities and their sum must be finite: {exc}") from exc
     if not math.isfinite(total):
         raise QuantizationError("probabilities and their sum must be finite")
     if arr.min() < 0:
